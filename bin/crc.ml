@@ -364,8 +364,8 @@ let fuzz seed count max_tasks mutate shards no_net out replay =
       match report.Conform.Fuzz.repro with
       | None ->
           Printf.printf
-            "fuzz: %d case(s) passed (seed %d, all schedulers x both data \
-             planes%s, sanitizer armed)\n"
+            "fuzz: %d case(s) passed (seed %d, all schedulers%s, sanitizer \
+             armed)\n"
             report.Conform.Fuzz.tested seed
             (if no_net then "" else " + net loopback")
       | Some (r, path) ->
@@ -429,7 +429,7 @@ let fuzz_cmd =
        ~doc:
          "Differential conformance fuzzing: random well-privileged programs \
           run through the implicit interpreter and through the full \
-          compile+SPMD pipeline under every scheduler and data plane (plus \
+          compile+SPMD pipeline under every scheduler (plus \
           the distributed loopback backend) with the race sanitizer armed; \
           failures are auto-shrunk to a replayable repro file.")
     Term.(

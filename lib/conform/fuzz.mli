@@ -2,7 +2,7 @@
 
     Cases are generated seed-deterministically ([seed + i] for case [i],
     shard count cycling 2–4), checked with the differential oracle
-    (sanitizer armed, all schedulers × both data planes), and on the
+    (sanitizer armed, all schedulers), and on the
     first failure shrunk to a minimal spec written as a replayable repro
     file. *)
 

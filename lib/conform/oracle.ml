@@ -1,6 +1,6 @@
 (* The differential oracle: one spec, run once under the implicit
    shared-memory semantics (the reference) and once per executor
-   configuration — every scheduler crossed with both data planes, race
+   configuration — every scheduler and the net loopback backend, race
    sanitizer armed — asserting bitwise-equal final region contents and
    scalars. Each configuration rebuilds the program from the spec: the
    compile pipeline and the executors mutate derived state (partition ids,
@@ -102,46 +102,28 @@ let first_diff (exp_s, exp_r) (got_s, got_r) =
 
 let stepper_scheds = [ ("round_robin", `Round_robin); ("random", `Random 1) ]
 let all_scheds = stepper_scheds @ [ ("domains", `Domains) ]
-let planes = [ ("plans", `Plans); ("scalar", `Scalar) ]
 
-(* Run the compiled program under one configuration and snapshot. *)
-let run_config ~shards ~sched ~plane ~watchdog ?mutate spec =
+(* Run the compiled program under one configuration and snapshot: a
+   scheduler of the shared-memory executor, or the message-passing
+   backend's column — every shard a simulated rank over
+   [Net.Launch.run_loopback], copies and credits as wire frames,
+   collectives over the tree (deadlock detection is exact under loopback,
+   so it needs no watchdog). *)
+let run_config ~shards ~backend ~watchdog ?mutate spec =
   let prog = Gen.build spec in
   let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards) prog in
   (* The context comes from the *compiled* source: normalization registers
      derived projection partitions there. *)
   let ctx = Interp.Run.create compiled.Spmd.Prog.source in
-  let compiled, mutated =
-    match mutate with
-    | None -> (compiled, false)
-    | Some k -> (
-        match Mutate.drop_nth_sync compiled k with
-        | Some (p, _) -> (p, true)
-        | None -> (compiled, false))
+  let compiled =
+    match Option.bind mutate (Mutate.drop_nth_sync compiled) with
+    | Some (p, _) -> p
+    | None -> compiled
   in
-  Spmd.Exec.run ~sched ~data_plane:plane ~sanitize:true ~watchdog compiled
-    ctx;
-  (snapshot ctx, mutated)
-
-(* The message-passing backend column: the same compiled program driven
-   through [Net.Launch.run_loopback] — every shard a simulated rank,
-   copies and credits as wire frames, collectives over the tree. Deadlock
-   detection is exact under loopback (no queued frame and no engine can
-   step), so no watchdog is needed. *)
-let run_net_config ~shards ?mutate spec =
-  let prog = Gen.build spec in
-  let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards) prog in
-  let ctx = Interp.Run.create compiled.Spmd.Prog.source in
-  let compiled, mutated =
-    match mutate with
-    | None -> (compiled, false)
-    | Some k -> (
-        match Mutate.drop_nth_sync compiled k with
-        | Some (p, _) -> (p, true)
-        | None -> (compiled, false))
-  in
-  Net.Launch.run_loopback ~sanitize:true compiled ctx;
-  (snapshot ctx, mutated)
+  (match backend with
+  | `Exec sched -> Spmd.Exec.run ~sched ~sanitize:true ~watchdog compiled ctx
+  | `Net -> Net.Launch.run_loopback ~sanitize:true compiled ctx);
+  snapshot ctx
 
 (* Differential check: [None] when every configuration matches the
    reference, the first failure otherwise. With [?mutate], the named sync
@@ -167,62 +149,22 @@ let check ?(shards = 3) ?mutate ?(scheds = all_scheds) ?(watchdog = 10.)
   match reference with
   | Error f -> Some f
   | Ok expected -> (
-      let exec_failure =
-        List.fold_left
-          (fun acc (sname, sched) ->
+      let configs =
+        List.map (fun (name, sched) -> (name, `Exec sched)) scheds
+        @ if net then [ ("net/loopback", `Net) ] else []
+      in
+      List.fold_left
+        (fun acc (config, backend) ->
           match acc with
           | Some _ -> acc
-          | None ->
-              List.fold_left
-                (fun acc (pname, plane) ->
-                  match acc with
-                  | Some _ -> acc
-                  | None -> (
-                      let config = sname ^ "/" ^ pname in
-                      match
-                        run_config ~shards ~sched ~plane ~watchdog ?mutate
-                          spec
-                      with
-                      | got, _ when compare got expected = 0 -> None
-                      | got, _ ->
-                          Some
-                            {
-                              config;
-                              kind = Mismatch;
-                              detail = first_diff expected got;
-                            }
-                      | exception Spmd.Sanitizer.Race msg ->
-                          Some { config; kind = Race; detail = msg }
-                      | exception Spmd.Exec.Deadlock d ->
-                          Some
-                            {
-                              config;
-                              kind = Deadlock;
-                              detail = d.Resilience.Diag.reason;
-                            }
-                      | exception e ->
-                          Some
-                            {
-                              config;
-                              kind = Crash;
-                              detail = Printexc.to_string e;
-                            }))
-                acc planes)
-          None scheds
-      in
-      match exec_failure with
-      | Some _ -> exec_failure
-      | None when not net -> None
-      | None -> (
-          let config = "net/loopback" in
-          match run_net_config ~shards ?mutate spec with
-          | got, _ when compare got expected = 0 -> None
-          | got, _ ->
-              Some { config; kind = Mismatch; detail = first_diff expected got }
-          | exception Spmd.Sanitizer.Race msg ->
-              Some { config; kind = Race; detail = msg }
-          | exception Spmd.Exec.Deadlock d ->
-              Some
-                { config; kind = Deadlock; detail = d.Resilience.Diag.reason }
-          | exception e ->
-              Some { config; kind = Crash; detail = Printexc.to_string e }))
+          | None -> (
+              match run_config ~shards ~backend ~watchdog ?mutate spec with
+              | got when compare got expected = 0 -> None
+              | got -> Some { config; kind = Mismatch; detail = first_diff expected got }
+              | exception Spmd.Sanitizer.Race msg ->
+                  Some { config; kind = Race; detail = msg }
+              | exception Spmd.Exec.Deadlock d ->
+                  Some { config; kind = Deadlock; detail = d.Resilience.Diag.reason }
+              | exception e ->
+                  Some { config; kind = Crash; detail = Printexc.to_string e }))
+        None configs)

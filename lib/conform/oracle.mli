@@ -2,8 +2,8 @@
 
     A spec runs once under the implicit shared-memory semantics
     ({!Interp.Run} — the reference control replication must preserve) and
-    once per executor configuration: every scheduler crossed with both
-    data planes, race sanitizer armed. Final root-region contents and
+    once per executor configuration: every scheduler, race sanitizer
+    armed. Final root-region contents and
     scalars must be bitwise equal everywhere (the paper's equivalence
     claim, §3); the first divergence, race, deadlock, or crash is
     reported with its configuration. *)

@@ -3,10 +3,7 @@ module Prog = Spmd.Prog
 module Exec = Spmd.Exec
 module Copy_plan = Spmd.Copy_plan
 module Intersections = Spmd.Intersections
-module Sanitizer = Spmd.Sanitizer
 module Program = Ir.Program
-module Types = Ir.Types
-module Task = Ir.Task
 module Eval = Ir.Eval
 module Diag = Resilience.Diag
 
@@ -18,7 +15,7 @@ type net = {
   coll : Collective.t;
   trace : Obs.Trace.t;
   stats : Exec.stats option;
-  san : Sanitizer.t option;
+  san : Spmd.Sanitizer.t option;
   mutable snapshots : (int * string) list;
   mutable stats_in : (int * (int * int * int * int)) list;
   mutable byes : int list;
@@ -115,19 +112,128 @@ let pump net ~timeout =
   go timeout;
   !got
 
+(* ---------- the wire substrate ---------- *)
+
+let part = function
+  | Prog.Opart p -> p
+  | Prog.Oregion r -> invalid_arg ("Net.Engine: region operand " ^ r)
+
+let drain_coll net seq =
+  let acts, result = Collective.poll net.coll ~seq in
+  List.iter
+    (function
+      | Collective.Send_up (p, values) ->
+          send_frame net ~dst:p (Wire.Coll { seq; dir = `Up; values })
+      | Collective.Send_down (child, r) ->
+          send_frame net ~dst:child
+            (Wire.Coll { seq; dir = `Down; values = [| (0, r) |] }))
+    acts;
+  result
+
+(* The shard machine's substrate over messages. A credit is a [Credit]
+   frame incrementing the producer-side counter; the queued [Data] frame
+   {e is} the raw token, gathered through the memoized plan with its
+   destination-relative runs (both sides build instances from the same
+   deterministic index spaces, so the offsets are valid in the receiver);
+   barriers and collectives run over the rank tree, a barrier being the
+   empty allreduce. *)
+let wire_sync net st =
+  let ch = net.chan in
+  {
+    Exec.take_credits =
+      (fun c owned ->
+        let cid = c.Prog.copy_id in
+        List.for_all (fun (i, j, _) -> !(Channel.war ch (cid, i, j)) > 0) owned
+        && begin
+             List.iter (fun (i, j, _) -> decr (Channel.war ch (cid, i, j))) owned;
+             true
+           end);
+    put =
+      (fun c (i, j, space) ~release ->
+        let cid = c.Prog.copy_id and pd = part c.Prog.dst in
+        let src = Exec.instance st (part c.Prog.src) i in
+        let plan =
+          Exec.copy_plan st ~cid ~i ~j ~space ~fields:c.Prog.fields ~src
+            ~dst:(Exec.instance st pd j) ()
+        in
+        let payload = Copy_plan.gather plan ~src in
+        release ();
+        send_frame net ~dst:(Exec.owner st pd j)
+          (Wire.Data
+             {
+               copy_id = cid;
+               epoch = Channel.next_send_epoch ch ~cid ~i ~j;
+               src_color = i;
+               dst_color = j;
+               fields = List.map Field.name c.Prog.fields;
+               runs = Copy_plan.dst_runs plan;
+               payload;
+             }));
+    take =
+      (fun c owned ~acquired ->
+        let cid = c.Prog.copy_id in
+        List.for_all (fun (i, j, _) -> Channel.queued ch ~cid ~i ~j > 0) owned
+        && begin
+             let popped =
+               List.map (fun (i, j, _) -> (j, i, Channel.pop_data ch ~cid ~i ~j)) owned
+             in
+             acquired ();
+             List.iter
+               (fun (j, _, (m : Channel.msg)) ->
+                 Channel.apply ~reduce:c.Prog.reduce ~fields:c.Prog.fields
+                   ~runs:m.Channel.runs ~payload:m.Channel.payload
+                   (Exec.instance st (part c.Prog.dst) j))
+               (List.sort
+                  (fun (j1, i1, _) (j2, i2, _) ->
+                    match Int.compare j1 j2 with 0 -> Int.compare i1 i2 | n -> n)
+                  popped);
+             true
+           end);
+    grant =
+      (fun c owned ->
+        List.iter
+          (fun (i, j, _) ->
+            send_frame net ~dst:(Exec.owner st (part c.Prog.src) i)
+              (Wire.Credit { copy_id = c.Prog.copy_id; src_color = i; dst_color = j }))
+          owned);
+    can_join = (fun _ _ -> true);
+    join =
+      (fun _ rv values ->
+        let op =
+          match rv with
+          | Exec.Collective { op; _ } -> op
+          | Exec.Barrier | Exec.Checkpoint _ -> Privilege.Sum
+        in
+        Collective.begin_op net.coll ~op ~values);
+    poll =
+      (fun _ _ seq ->
+        let r = drain_coll net seq in
+        if r <> None then Collective.finish net.coll ~seq;
+        r);
+    threaded = false;
+    chan =
+      (fun ((cid, i, j) as key) -> (!(Channel.war ch key), Channel.queued ch ~cid ~i ~j));
+    meet_diag =
+      (fun rv joined ->
+        match (joined, rv) with
+        | None, _ -> Diag.Running
+        | Some seq, Exec.Collective { var; _ } ->
+            Diag.At_collective
+              {
+                var;
+                arrived = Collective.arrived net.coll ~seq;
+                consumed = 0;
+                published = Collective.completed net.coll ~seq;
+              }
+        | Some seq, (Exec.Barrier | Exec.Checkpoint _) ->
+            Diag.At_barrier
+              { arrived = Collective.arrived net.coll ~seq; generation = seq });
+  }
+
 (* ---------- the block engine ---------- *)
-
-type loop_info = { lvar : string; lcount : int; mutable liter : int }
-
-type eframe = {
-  instrs : Prog.instr array;
-  mutable idx : int;
-  loop : loop_info option;
-}
 
 type fin = { mutable k : int; mutable sent : bool }
 type phase = Body | Finalizing of fin | Complete
-type wait = W_ready | W_coll of { seq : int; cvar : string option }
 
 type engine = {
   net : net;
@@ -135,323 +241,16 @@ type engine = {
   ctx : Interp.Run.context;
   block : Prog.block;
   rank : int;
-  env : Eval.env;
-  insts : (string * int, Physical.t) Hashtbl.t;
-  pairs : (int, Intersections.pairs) Hashtbl.t;
-  plans : (int * int * int, Copy_plan.t) Hashtbl.t;
-  mutable frames : eframe list;
-  mutable wait : wait;
+  st : Exec.state;
+  sync : Exec.sync;
+  shard : Exec.shard;
   mutable phase : phase;
 }
 
 let finished eng = eng.phase = Complete
 
-let bump eng f =
-  match eng.net.stats with None -> () | Some s -> Atomic.incr (f s)
-
-let instance eng pname color =
-  match Hashtbl.find_opt eng.insts (pname, color) with
-  | Some i -> i
-  | None ->
-      invalid_arg (Printf.sprintf "Net.Engine: no instance (%s, %d)" pname color)
-
 let root_inst eng rname =
   Interp.Run.region_instance eng.ctx (Program.find_region eng.source rname)
-
-let owner eng pname color =
-  let p = Program.find_partition eng.source pname in
-  Prog.owner_of_color ~shards:eng.block.Prog.shards
-    ~colors:(Partition.color_count p) color
-
-let owned_space_colors eng space =
-  let n = Program.find_space eng.source space in
-  Prog.colors_of_shard ~shards:eng.block.Prog.shards ~colors:n eng.rank
-
-let owned_src_pairs eng (c : Prog.copy) =
-  let pairs = Hashtbl.find eng.pairs c.Prog.copy_id in
-  let ps =
-    match c.Prog.src with Prog.Opart p -> p | Prog.Oregion _ -> assert false
-  in
-  List.filter (fun (i, _, _) -> owner eng ps i = eng.rank) pairs.Intersections.items
-
-let owned_dst_pairs eng copy_id =
-  let c =
-    List.find
-      (fun (c : Prog.copy) -> c.Prog.copy_id = copy_id)
-      eng.block.Prog.copies
-  in
-  let pairs = Hashtbl.find eng.pairs copy_id in
-  let pd =
-    match c.Prog.dst with Prog.Opart p -> p | Prog.Oregion _ -> assert false
-  in
-  ( c,
-    List.filter (fun (_, j, _) -> owner eng pd j = eng.rank) pairs.Intersections.items
-  )
-
-(* ---------- sanitizer hooks (loopback only; mirror Spmd.Exec) ---------- *)
-
-let san_access eng ~part ~color ~fields kind space =
-  match eng.net.san with
-  | None -> ()
-  | Some san ->
-      List.iter
-        (fun field ->
-          Sanitizer.access san ~shard:eng.rank ~part ~color ~field kind space)
-        fields
-
-let san_acquire eng key =
-  match eng.net.san with
-  | None -> ()
-  | Some san -> Sanitizer.acquire san ~shard:eng.rank key
-
-let san_release eng key =
-  match eng.net.san with
-  | None -> ()
-  | Some san -> Sanitizer.release san ~shard:eng.rank key
-
-let san_launch eng (l : Types.launch) c =
-  match eng.net.san with
-  | None -> ()
-  | Some san ->
-      let task = Program.find_task eng.source l.Types.task in
-      List.iteri
-        (fun k rarg ->
-          match rarg with
-          | Types.Part (pname, Types.Id) ->
-              let inst = instance eng pname c in
-              let space = Physical.ispace inst in
-              List.iter
-                (fun (pr : Privilege.t) ->
-                  let kind =
-                    match pr.Privilege.mode with
-                    | Privilege.Read -> Sanitizer.A_read
-                    | Privilege.Read_write -> Sanitizer.A_write
-                    | Privilege.Reduce op -> Sanitizer.A_reduce op
-                  in
-                  Sanitizer.access san ~shard:eng.rank ~part:pname ~color:c
-                    ~field:pr.Privilege.field kind space)
-                (Task.param_privs task k)
-          | Types.Part _ | Types.Whole _ -> ())
-        l.Types.rargs
-
-(* ---------- copy plans ---------- *)
-
-let plan_for eng ~cid ~i ~j ?space ~fields ~src ~dst () =
-  let key = (cid, i, j) in
-  match Hashtbl.find_opt eng.plans key with
-  | Some p -> p
-  | None ->
-      let p = Copy_plan.build ?space ~src ~dst ~fields () in
-      bump eng (fun s -> s.Exec.plan_builds);
-      Hashtbl.replace eng.plans key p;
-      p
-
-let count_replay eng plan fields =
-  bump eng (fun s -> s.Exec.plan_replays);
-  match eng.net.stats with
-  | None -> ()
-  | Some s ->
-      ignore
-        (Atomic.fetch_and_add s.Exec.blit_volume
-           (Copy_plan.volume plan * List.length fields))
-
-let plan_exec eng ~cid ~i ~j ?space ~fields ~reduce ~src ~dst () =
-  let plan = plan_for eng ~cid ~i ~j ?space ~fields ~src ~dst () in
-  count_replay eng plan fields;
-  Copy_plan.execute plan ~reduce ~src ~dst
-
-(* Local replay of an init/finalize copy whose source every rank holds
-   (root regions are replicated in each rank's private context, and the
-   replay order is the master-copy order, so the result is identical on
-   all ranks). *)
-let local_copy eng (c : Prog.copy) =
-  let cid = c.Prog.copy_id and fields = c.Prog.fields in
-  let reduce = c.Prog.reduce in
-  match (c.Prog.src, c.Prog.dst) with
-  | Prog.Oregion rs, Prog.Opart pd ->
-      let p = Program.find_partition eng.source pd in
-      let src = root_inst eng rs in
-      for color = 0 to Partition.color_count p - 1 do
-        plan_exec eng ~cid ~i:(-1) ~j:color ~fields ~reduce ~src
-          ~dst:(instance eng pd color) ()
-      done
-  | Prog.Opart ps, Prog.Oregion rd ->
-      let p = Program.find_partition eng.source ps in
-      let dst = root_inst eng rd in
-      for color = 0 to Partition.color_count p - 1 do
-        plan_exec eng ~cid ~i:color ~j:(-1) ~fields ~reduce
-          ~src:(instance eng ps color) ~dst ()
-      done
-  | Prog.Opart ps, Prog.Opart pd ->
-      let pairs = Hashtbl.find eng.pairs cid in
-      List.iter
-        (fun (i, j, space) ->
-          plan_exec eng ~cid ~i ~j ~space ~fields ~reduce
-            ~src:(instance eng ps i) ~dst:(instance eng pd j) ())
-        pairs.Intersections.items
-  | Prog.Oregion rs, Prog.Oregion rd ->
-      plan_exec eng ~cid ~i:(-1) ~j:(-1) ~fields ~reduce
-        ~src:(root_inst eng rs) ~dst:(root_inst eng rd) ()
-
-(* ---------- leaf launches ---------- *)
-
-let run_launch_color eng (l : Types.launch) c =
-  let task = Program.find_task eng.source l.Types.task in
-  san_launch eng l c;
-  let sargs = Array.map (Eval.sexpr eng.env) l.Types.sargs in
-  let accessors =
-    Array.of_list
-      (List.mapi
-         (fun k rarg ->
-           match rarg with
-           | Types.Part (pname, Types.Id) ->
-               let inst = instance eng pname c in
-               Accessor.make inst ~space:(Physical.ispace inst)
-                 (Task.param_privs task k)
-           | Types.Part (pname, Types.Fn (fname, _)) ->
-               invalid_arg
-                 (Printf.sprintf
-                    "Net.Engine: non-normalized projection %s(%s) survived \
-                     control replication"
-                    fname pname)
-           | Types.Whole r ->
-               invalid_arg
-                 (Printf.sprintf
-                    "Net.Engine: whole-region argument %s in replicated code" r))
-         l.Types.rargs)
-  in
-  task.Task.kernel accessors sargs
-
-(* ---------- the data plane, by message ---------- *)
-
-(* Producer-issued copy (§3.4): one [Data] frame per owned pair, gathered
-   through the memoized plan. The destination-relative runs travel with
-   the payload; both sides build instances from the same deterministic
-   index spaces, so the offsets are valid in the receiver. *)
-let try_copy eng (c : Prog.copy) =
-  let cid = c.Prog.copy_id in
-  let owned = owned_src_pairs eng c in
-  let all_credits =
-    List.for_all
-      (fun (i, j, _) -> !(Channel.war eng.net.chan (cid, i, j)) > 0)
-      owned
-  in
-  if not all_credits then `Blocked
-  else begin
-    let ps =
-      match c.Prog.src with Prog.Opart p -> p | Prog.Oregion _ -> assert false
-    in
-    let pd =
-      match c.Prog.dst with Prog.Opart p -> p | Prog.Oregion _ -> assert false
-    in
-    let fnames = List.map Field.name c.Prog.fields in
-    List.iter
-      (fun (i, j, space) ->
-        decr (Channel.war eng.net.chan (cid, i, j));
-        san_acquire eng (Sanitizer.K_war (cid, i, j));
-        san_access eng ~part:ps ~color:i ~fields:c.Prog.fields Sanitizer.A_read
-          space;
-        let src = instance eng ps i and dst = instance eng pd j in
-        let plan =
-          plan_for eng ~cid ~i ~j ~space ~fields:c.Prog.fields ~src ~dst ()
-        in
-        count_replay eng plan c.Prog.fields;
-        let payload = Copy_plan.gather plan ~src in
-        let runs = Copy_plan.dst_runs plan in
-        (* A plain copy's write is attributed to the producer (as in
-           Spmd.Exec); a reduction's application is attributed to the
-           consumer at [Await]. *)
-        (match c.Prog.reduce with
-        | None ->
-            san_access eng ~part:pd ~color:j ~fields:c.Prog.fields
-              Sanitizer.A_write space
-        | Some _ -> ());
-        let epoch = Channel.next_send_epoch eng.net.chan ~cid ~i ~j in
-        send_frame eng.net ~dst:(owner eng pd j)
-          (Wire.Data
-             {
-               copy_id = cid;
-               epoch;
-               src_color = i;
-               dst_color = j;
-               fields = fnames;
-               runs;
-               payload;
-             });
-        san_release eng (Sanitizer.K_raw (cid, i, j)))
-      owned;
-    `Progress
-  end
-
-(* The queued [Data] frame is the raw token: [Await] needs one per owned
-   pair, then scatters (plain) or folds (reduce, ascending source color)
-   the payloads into the local instance. *)
-let try_await eng copy_id =
-  let c, owned = owned_dst_pairs eng copy_id in
-  let ready =
-    List.for_all
-      (fun (i, j, _) -> Channel.queued eng.net.chan ~cid:copy_id ~i ~j > 0)
-      owned
-  in
-  if not ready then `Blocked
-  else begin
-    let pd =
-      match c.Prog.dst with Prog.Opart p -> p | Prog.Oregion _ -> assert false
-    in
-    let popped =
-      List.map
-        (fun (i, j, space) ->
-          let m = Channel.pop_data eng.net.chan ~cid:copy_id ~i ~j in
-          san_acquire eng (Sanitizer.K_raw (copy_id, i, j));
-          (i, j, space, m))
-        owned
-    in
-    let ordered =
-      List.sort
-        (fun (i1, j1, _, _) (i2, j2, _, _) ->
-          match Int.compare j1 j2 with 0 -> Int.compare i1 i2 | n -> n)
-        popped
-    in
-    List.iter
-      (fun (_, j, space, (m : Channel.msg)) ->
-        (match c.Prog.reduce with
-        | None -> ()
-        | Some _ ->
-            san_access eng ~part:pd ~color:j ~fields:c.Prog.fields
-              Sanitizer.A_write space);
-        Channel.apply ~reduce:c.Prog.reduce ~fields:c.Prog.fields
-          ~runs:m.Channel.runs ~payload:m.Channel.payload (instance eng pd j))
-      ordered;
-    `Progress
-  end
-
-let do_release eng copy_id =
-  let c, owned = owned_dst_pairs eng copy_id in
-  let ps =
-    match c.Prog.src with Prog.Opart p -> p | Prog.Oregion _ -> assert false
-  in
-  List.iter
-    (fun (i, j, _) ->
-      san_release eng (Sanitizer.K_war (copy_id, i, j));
-      send_frame eng.net ~dst:(owner eng ps i)
-        (Wire.Credit { copy_id; src_color = i; dst_color = j }))
-    owned
-
-(* ---------- collectives ---------- *)
-
-let drain_coll eng seq =
-  let acts, result = Collective.poll eng.net.coll ~seq in
-  List.iter
-    (function
-      | Collective.Send_up (p, values) ->
-          send_frame eng.net ~dst:p (Wire.Coll { seq; dir = `Up; values })
-      | Collective.Send_down (child, r) ->
-          send_frame eng.net ~dst:child
-            (Wire.Coll { seq; dir = `Down; values = [| (0, r) |] }))
-    acts;
-  result
-
-(* ---------- block start ---------- *)
 
 let start_block net ~source ctx (b : Prog.block) =
   if b.Prog.shards <> Transport.size net.tp then
@@ -459,225 +258,49 @@ let start_block net ~source ctx (b : Prog.block) =
       (Printf.sprintf
          "Net.Engine: block compiled for %d shards on a %d-rank transport"
          b.Prog.shards (Transport.size net.tp));
-  let eng =
-    {
-      net;
-      source;
-      ctx;
-      block = b;
-      rank = Transport.rank net.tp;
-      env = Eval.copy (Interp.Run.env ctx);
-      insts = Hashtbl.create 64;
-      pairs = Hashtbl.create 16;
-      plans = Hashtbl.create 32;
-      frames = [ { instrs = Array.of_list b.Prog.body; idx = 0; loop = None } ];
-      wait = W_ready;
-      phase = Body;
-    }
+  let rank = Transport.rank net.tp in
+  let st =
+    Exec.create_state ?stats:net.stats ~trace:net.trace ?san:net.san ~source ctx b
   in
-  let isect = Option.map (fun (s : Exec.stats) -> s.Exec.isect) net.stats in
-  List.iter
-    (fun (pname, (p : Partition.t)) ->
-      let fields = Exec.fields_used_of_partition source b pname in
-      for c = 0 to Partition.color_count p - 1 do
-        let sub = Partition.sub p c in
-        Hashtbl.replace eng.insts (pname, c)
-          (Physical.create_over sub.Region.ispace fields)
-      done)
-    (Exec.partitions_used source b);
-  let part_of = function
-    | Prog.Opart p -> Some (Program.find_partition source p)
-    | Prog.Oregion _ -> None
-  in
+  (* The credit counter lives at the producer: seed it there. A block's
+     copy ids are program-unique, so the persistent channel table cannot
+     collide across blocks. *)
   List.iter
     (fun (c : Prog.copy) ->
-      match (part_of c.Prog.src, part_of c.Prog.dst) with
-      | Some src, Some dst ->
-          let pairs =
-            match c.Prog.pairs with
-            | `Sparse -> Intersections.compute_cached ?stats:isect ~src ~dst ()
-            | `Dense -> Intersections.compute_all_pairs ?stats:isect ~src ~dst ()
-          in
-          Hashtbl.replace eng.pairs c.Prog.copy_id pairs;
-          let credits =
-            Option.value ~default:1 (List.assoc_opt c.Prog.copy_id b.Prog.credits)
-          in
-          let ps =
-            match c.Prog.src with
-            | Prog.Opart p -> p
-            | Prog.Oregion _ -> assert false
-          in
-          (* The credit counter lives at the producer: seed it there. A
-             block's copy ids are program-unique, so the persistent
-             channel table cannot collide across blocks. *)
+      match (c.Prog.src, c.Prog.dst) with
+      | Prog.Opart ps, Prog.Opart _ ->
+          let cid = c.Prog.copy_id in
+          let credits = Option.value ~default:1 (List.assoc_opt cid b.Prog.credits) in
           List.iter
             (fun (i, j, _) ->
-              if owner eng ps i = eng.rank then
-                Channel.war net.chan (c.Prog.copy_id, i, j) := credits)
-            pairs.Intersections.items
+              if Exec.owner st ps i = rank then
+                Channel.war net.chan (cid, i, j) := credits)
+            (Exec.pairs st cid).Intersections.items
       | _ -> ())
     b.Prog.copies;
   (* Initialization replays locally on every rank (Fig. 4d: sequential,
      deterministic, touching state every rank holds). *)
-  Obs.Trace.with_span net.trace ~tid:(Exec.shard_tid eng.rank) ~cat:"exec"
-    "net.init" (fun () ->
-      List.iter
-        (function
-          | Prog.Copy c -> local_copy eng c
-          | Prog.Fill { part; fields; op } ->
-              let p = Program.find_partition source part in
-              for color = 0 to Partition.color_count p - 1 do
-                let inst = instance eng part color in
-                List.iter
-                  (fun fld -> Physical.fill inst fld (Privilege.identity_of op))
-                  fields
-              done
-          | instr ->
-              invalid_arg
-                (Format.asprintf "Net.Engine: unsupported init instruction %a"
-                   Prog.pp_instr instr))
-        b.Prog.init);
-  eng
-
-(* ---------- the stepper ---------- *)
-
-let push_loop eng var count body =
-  if count > 0 then begin
-    Eval.set eng.env var 0.;
-    eng.frames <-
-      {
-        instrs = Array.of_list body;
-        idx = 0;
-        loop = Some { lvar = var; lcount = count; liter = 0 };
-      }
-      :: eng.frames
-  end
-
-let rec normalize_frames eng =
-  match eng.frames with
-  | [] -> ()
-  | f :: rest ->
-      if f.idx >= Array.length f.instrs then (
-        match f.loop with
-        | Some li when li.liter + 1 < li.lcount ->
-            li.liter <- li.liter + 1;
-            Eval.set eng.env li.lvar (float_of_int li.liter);
-            f.idx <- 0
-        | Some _ | None ->
-            eng.frames <- rest;
-            normalize_frames eng)
-      else ()
-
-let step_body eng (f : eframe) =
-  let instr = f.instrs.(f.idx) in
-  let tr = eng.net.trace in
-  let tid = Exec.shard_tid eng.rank in
-  let t0 = if Obs.Trace.enabled tr then Obs.Trace.now_us tr else 0. in
-  let advance () =
-    f.idx <- f.idx + 1;
-    normalize_frames eng;
-    if Obs.Trace.enabled tr then
-      Obs.Trace.complete tr ~tid ~cat:"exec" ~ts:t0
-        ~dur:(Obs.Trace.now_us tr -. t0)
-        (Exec.instr_label instr);
-    `Progress
-  in
-  match instr with
-  | Prog.Assign (v, e) ->
-      Eval.set eng.env v (Eval.sexpr eng.env e);
-      advance ()
-  | Prog.For_time { var; count; body } ->
-      f.idx <- f.idx + 1;
-      Obs.Trace.instant tr ~tid ~cat:"exec"
-        ~args:[ ("count", Obs.Trace.Int count) ]
-        "for_time";
-      push_loop eng var count body;
-      normalize_frames eng;
-      `Progress
-  | Prog.Launch { space; launch } ->
-      List.iter
-        (fun c -> ignore (run_launch_color eng launch c))
-        (owned_space_colors eng space);
-      advance ()
-  | Prog.Fill { part; fields; op } ->
-      let p = Program.find_partition eng.source part in
-      List.iter
-        (fun c ->
-          let inst = instance eng part c in
-          san_access eng ~part ~color:c ~fields Sanitizer.A_write
-            (Physical.ispace inst);
-          List.iter
-            (fun fld -> Physical.fill inst fld (Privilege.identity_of op))
-            fields)
-        (Prog.colors_of_shard ~shards:eng.block.Prog.shards
-           ~colors:(Partition.color_count p) eng.rank);
-      advance ()
-  | Prog.Copy c -> (
-      match try_copy eng c with `Blocked -> `Blocked | `Progress -> advance ())
-  | Prog.Await id -> (
-      match try_await eng id with `Blocked -> `Blocked | `Progress -> advance ())
-  | Prog.Release id ->
-      do_release eng id;
-      Obs.Trace.instant tr ~tid ~cat:"exec"
-        ~args:[ ("copy_id", Obs.Trace.Int id) ]
-        "credit.release";
-      advance ()
-  | Prog.Barrier -> (
-      match eng.wait with
-      | W_coll { seq; cvar = None } -> (
-          match drain_coll eng seq with
-          | Some _ ->
-              san_acquire eng Sanitizer.K_barrier;
-              Collective.finish eng.net.coll ~seq;
-              eng.wait <- W_ready;
-              advance ()
-          | None -> `Blocked)
-      | W_ready | W_coll _ ->
-          (* A barrier is the empty allreduce over the rank tree. *)
-          let seq =
-            Collective.begin_op eng.net.coll ~op:Privilege.Sum ~values:[]
-          in
-          san_release eng Sanitizer.K_barrier;
-          Obs.Trace.instant tr ~tid ~cat:"exec"
-            ~args:[ ("generation", Obs.Trace.Int seq) ]
-            "barrier.arrive";
-          eng.wait <- W_coll { seq; cvar = None };
-          ignore (drain_coll eng seq);
-          `Progress)
-  | Prog.Launch_collective { space; launch; var; op } -> (
-      match eng.wait with
-      | W_coll { seq; cvar = Some _ } -> (
-          match drain_coll eng seq with
-          | Some r ->
-              san_acquire eng Sanitizer.K_collective;
-              Eval.set eng.env var r;
-              Collective.finish eng.net.coll ~seq;
-              eng.wait <- W_ready;
-              advance ()
-          | None -> `Blocked)
-      | W_ready | W_coll _ ->
-          let mine =
-            List.map
-              (fun c -> (c, run_launch_color eng launch c))
-              (owned_space_colors eng space)
-          in
-          let seq = Collective.begin_op eng.net.coll ~op ~values:mine in
-          san_release eng Sanitizer.K_collective;
-          Obs.Trace.instant tr ~tid ~cat:"exec"
-            ~args:[ ("var", Obs.Trace.Str var) ]
-            "collective.deposit";
-          eng.wait <- W_coll { seq; cvar = Some var };
-          ignore (drain_coll eng seq);
-          `Progress)
-  | Prog.Checkpoint _ ->
-      (* No checkpoint sink in the distributed backend (yet): the
-         instruction is the documented no-op it is without a sink. *)
-      advance ()
+  Obs.Trace.with_span net.trace ~tid:(Exec.shard_tid rank) ~cat:"exec"
+    "net.init" (fun () -> Exec.init st);
+  {
+    net;
+    source;
+    ctx;
+    block = b;
+    rank;
+    st;
+    sync = wire_sync net st;
+    shard = Exec.shard st ~sid:rank (Eval.copy (Interp.Run.env ctx));
+    phase = Body;
+  }
 
 (* ---------- finalize: fragment broadcast ---------- *)
 
-let broadcast_final eng ~cid ~i ~j ~fields ~runs ~payload =
+let broadcast_final eng ~cid ~i ~j ~fields ~src ~dst =
+  let plan = Exec.copy_plan eng.st ~cid ~i ~j ~fields ~src ~dst () in
+  let runs = Copy_plan.dst_runs plan and payload = Copy_plan.gather plan ~src in
   Channel.on_final eng.net.chan ~cid ~i ~j ~runs ~payload;
+  let fields = List.map Field.name fields in
   for r = 0 to Transport.size eng.net.tp - 1 do
     if r <> eng.rank then
       send_frame eng.net ~dst:r
@@ -698,7 +321,7 @@ let expected_fragments eng (c : Prog.copy) =
   | Prog.Opart ps, Prog.Oregion _ ->
       Partition.color_count (Program.find_partition eng.source ps)
   | Prog.Opart _, Prog.Opart _ ->
-      List.length (Hashtbl.find eng.pairs c.Prog.copy_id).Intersections.items
+      List.length (Exec.pairs eng.st c.Prog.copy_id).Intersections.items
   | (Prog.Oregion _, _) -> 0
 
 let step_finalize eng (f : fin) =
@@ -707,7 +330,9 @@ let step_finalize eng (f : fin) =
     (* Replicated scalar state is identical on every rank; fold this
        rank's copy back into its context. *)
     let master_env = Interp.Run.env eng.ctx in
-    List.iter (fun (k, v) -> Eval.set master_env k v) (Eval.bindings eng.env);
+    List.iter
+      (fun (k, v) -> Eval.set master_env k v)
+      (Eval.bindings (Exec.shard_env eng.shard));
     eng.phase <- Complete;
     `Progress
   end
@@ -716,48 +341,32 @@ let step_finalize eng (f : fin) =
     match c.Prog.src with
     | Prog.Oregion _ ->
         (* Root-region source: every rank holds it whole — pure replay. *)
-        local_copy eng c;
+        Exec.master_copy eng.st c;
         f.k <- f.k + 1;
         f.sent <- false;
         `Progress
     | Prog.Opart ps ->
-        let cid = c.Prog.copy_id in
+        let cid = c.Prog.copy_id and fields = c.Prog.fields in
         if not f.sent then begin
           f.sent <- true;
-          let fnames = List.map Field.name c.Prog.fields in
           (match c.Prog.dst with
           | Prog.Oregion rd ->
               let p = Program.find_partition eng.source ps in
-              let root = root_inst eng rd in
+              let dst = root_inst eng rd in
               List.iter
                 (fun i ->
-                  let src = instance eng ps i in
-                  let plan =
-                    plan_for eng ~cid ~i ~j:(-1) ~fields:c.Prog.fields ~src
-                      ~dst:root ()
-                  in
-                  count_replay eng plan c.Prog.fields;
-                  broadcast_final eng ~cid ~i ~j:(-1) ~fields:fnames
-                    ~runs:(Copy_plan.dst_runs plan)
-                    ~payload:(Copy_plan.gather plan ~src))
+                  broadcast_final eng ~cid ~i ~j:(-1) ~fields
+                    ~src:(Exec.instance eng.st ps i) ~dst)
                 (Prog.colors_of_shard ~shards:eng.block.Prog.shards
                    ~colors:(Partition.color_count p) eng.rank)
           | Prog.Opart pd ->
-              let pairs = Hashtbl.find eng.pairs cid in
               List.iter
-                (fun (i, j, space) ->
-                  if owner eng ps i = eng.rank then begin
-                    let src = instance eng ps i and dst = instance eng pd j in
-                    let plan =
-                      plan_for eng ~cid ~i ~j ~space ~fields:c.Prog.fields ~src
-                        ~dst ()
-                    in
-                    count_replay eng plan c.Prog.fields;
-                    broadcast_final eng ~cid ~i ~j ~fields:fnames
-                      ~runs:(Copy_plan.dst_runs plan)
-                      ~payload:(Copy_plan.gather plan ~src)
-                  end)
-                pairs.Intersections.items);
+                (fun (i, j, _) ->
+                  if Exec.owner eng.st ps i = eng.rank then
+                    broadcast_final eng ~cid ~i ~j ~fields
+                      ~src:(Exec.instance eng.st ps i)
+                      ~dst:(Exec.instance eng.st pd j))
+                (Exec.pairs eng.st cid).Intersections.items);
           `Progress
         end
         else if Channel.final_count eng.net.chan ~cid < expected_fragments eng c
@@ -774,7 +383,7 @@ let step_finalize eng (f : fin) =
                 let tbl = Hashtbl.create 16 in
                 List.iteri
                   (fun k (i, j, _) -> Hashtbl.replace tbl (i, j) k)
-                  (Hashtbl.find eng.pairs cid).Intersections.items;
+                  (Exec.pairs eng.st cid).Intersections.items;
                 fun (fr : Channel.fragment) -> (
                   match
                     Hashtbl.find_opt tbl (fr.Channel.src_color, fr.Channel.dst_color)
@@ -796,9 +405,9 @@ let step_finalize eng (f : fin) =
               let dst =
                 match c.Prog.dst with
                 | Prog.Oregion rd -> root_inst eng rd
-                | Prog.Opart pd -> instance eng pd fr.Channel.dst_color
+                | Prog.Opart pd -> Exec.instance eng.st pd fr.Channel.dst_color
               in
-              Channel.apply ~reduce:c.Prog.reduce ~fields:c.Prog.fields
+              Channel.apply ~reduce:c.Prog.reduce ~fields
                 ~runs:fr.Channel.fruns ~payload:fr.Channel.fpayload dst)
             sorted;
           f.k <- f.k + 1;
@@ -811,23 +420,14 @@ let step eng =
   | Complete -> `Done
   | Finalizing f -> step_finalize eng f
   | Body -> (
-      normalize_frames eng;
-      match eng.frames with
-      | [] ->
+      match Exec.step eng.st eng.sync eng.shard with
+      | `Done ->
           eng.phase <- Finalizing { k = 0; sent = false };
           `Progress
-      | f :: _ -> step_body eng f)
+      | `Progress | `Stalled -> `Progress
+      | `Blocked -> `Blocked)
 
 (* ---------- diagnostics ---------- *)
-
-let chan_diag eng (cid, i, j) =
-  {
-    Diag.copy_id = cid;
-    src = i;
-    dst = j;
-    war = !(Channel.war eng.net.chan (cid, i, j));
-    raw = Channel.queued eng.net.chan ~cid ~i ~j;
-  }
 
 let diag_shard eng =
   match eng.phase with
@@ -842,50 +442,7 @@ let diag_shard eng =
             (expected_fragments eng c)
       in
       { Diag.sid = eng.rank; instr = Some label; wait = Diag.Running }
-  | Body -> (
-      normalize_frames eng;
-      match eng.frames with
-      | [] -> { Diag.sid = eng.rank; instr = None; wait = Diag.Finished }
-      | f :: _ ->
-          let instr = f.instrs.(f.idx) in
-          let wait =
-            match instr with
-            | Prog.Copy c ->
-                Diag.At_copy
-                  (List.map
-                     (fun (i, j, _) -> chan_diag eng (c.Prog.copy_id, i, j))
-                     (owned_src_pairs eng c))
-            | Prog.Await id ->
-                let _, owned = owned_dst_pairs eng id in
-                Diag.At_await
-                  (List.map (fun (i, j, _) -> chan_diag eng (id, i, j)) owned)
-            | Prog.Barrier -> (
-                match eng.wait with
-                | W_coll { seq; _ } ->
-                    Diag.At_barrier
-                      {
-                        arrived = Collective.arrived eng.net.coll ~seq;
-                        generation = seq;
-                      }
-                | W_ready -> Diag.Running)
-            | Prog.Launch_collective { var; _ } -> (
-                match eng.wait with
-                | W_coll { seq; _ } ->
-                    Diag.At_collective
-                      {
-                        var;
-                        arrived = Collective.arrived eng.net.coll ~seq;
-                        consumed = 0;
-                        published = Collective.completed eng.net.coll ~seq;
-                      }
-                | W_ready -> Diag.Running)
-            | _ -> Diag.Running
-          in
-          {
-            Diag.sid = eng.rank;
-            instr = Some (Format.asprintf "%a" Prog.pp_instr instr);
-            wait;
-          })
+  | Body -> Exec.shard_diag eng.st eng.sync eng.shard
 
 let diagnose net ~reason engines =
   let reason =

@@ -8,27 +8,28 @@
     dispatches every frame to its table; it never blocks the engine's
     own instruction stream.
 
-    One {!engine} runs one replicated block on one rank, mirroring
-    {!Spmd.Exec}'s cooperative stepper exactly — same instruction
-    semantics, same sanitizer hooks, same deterministic orders (staged
-    reductions applied in ascending source color, collectives folded in
-    ascending color at the tree root) — except that channel counters
-    move by message instead of by shared memory:
+    One {!engine} runs one replicated block on one rank: the shard
+    machine {!Spmd.Exec.step} itself, over a wire instance of its
+    {!Spmd.Exec.sync} substrate, so every instruction's semantics,
+    sanitizer hooks, trace spans and diagnostics are the shared-memory
+    executor's. Only the substrate differs:
 
-    - [Copy] gathers each owned pair's payload through the memoized
+    - a copy gathers each owned pair's payload through the memoized
       {!Spmd.Copy_plan} and sends a [Data] frame to the destination
-      color's owner (consuming one war credit; §3.4 producer-issued
-      copies).
-    - [Await] needs one queued [Data] frame per owned destination pair
-      — the frame {e is} the raw token — and scatters/folds the
-      payloads into the local instance.
-    - [Release] sends a [Credit] frame back to each source owner.
-    - [Barrier] / [Launch_collective] run one tree operation
-      ({!Collective}); a barrier is the empty allreduce.
-    - The finalize phase broadcasts every owned fragment as [Final]
-      frames to {e all} ranks and applies the full set in master-copy
-      order, so each rank finishes holding the complete, bitwise
-      identical root state.
+      color's owner, consuming one war credit (§3.4 producer-issued
+      copies);
+    - the queued [Data] frame {e is} the raw token: [Await] needs one per
+      owned destination pair and scatters or folds the payloads into the
+      local instance, reductions in ascending source color;
+    - [Release] sends a [Credit] frame back to each source owner;
+    - barriers and scalar collectives run one tree operation
+      ({!Collective}); a barrier is the empty allreduce;
+    - checkpoints are a no-op (no checkpoint sink).
+
+    The finalize phase is the engine's own: it broadcasts every owned
+    fragment as [Final] frames to {e all} ranks and applies the full set
+    in master-copy order, so each rank finishes holding the complete,
+    bitwise identical root state.
 
     Every rank executes the whole program against its private
     {!Interp.Run.context} ([Seq] items and block initialization are
@@ -81,8 +82,8 @@ val start_block :
     the transport size. *)
 
 val step : engine -> [ `Progress | `Blocked | `Done ]
-(** Execute (or block on) the current instruction, exactly one
-    {!Spmd.Exec} stepper step. Callers interleave {!pump} with blocked
+(** Execute (or block on) the current instruction: one
+    {!Spmd.Exec.step} in the body, one fragment exchange in finalize. Callers interleave {!pump} with blocked
     steps; a step is [`Blocked] only while some needed frame has not
     arrived. [`Done] once the finalize phase completed (scalars are
     folded back into the context's environment at that point). *)

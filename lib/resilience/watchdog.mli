@@ -29,5 +29,6 @@ val start :
 (** [poll] defaults to 10ms (clamped by callers as needed). *)
 
 val stop : t -> unit
-(** Signal the monitor domain to exit and join it. Safe to call whether
-    or not the dog has tripped. *)
+(** Signal the monitor domain to exit and join it; returns at once, without
+    waiting out the current poll. Safe to call whether or not the dog has
+    tripped. *)

@@ -74,45 +74,23 @@ let fresh_stats ?registry () =
         bytes_on_wire = cell "exec.net.bytes_on_wire";
       }
 
-(* ---------- per-block runtime state ---------- *)
+(* ---------- per-block runtime state ----------
 
-type chan = { mutable war : int; mutable raw : int }
+   What every substrate shares: the replicated instances, the dynamic
+   intersection pairs, the copy-plan memo and the instruments. The
+   synchronisation state itself (credit and token counters, barrier and
+   collective slots) belongs to the substrate, see [sync] below. *)
 
-(* One scalar collective (a Launch_collective instruction). A round: every
-   shard deposits its per-color partial results; the last depositor folds
-   them in ascending color order and publishes; every shard consumes; the
-   last consumer resets the slot for the next loop iteration. A shard that
-   races ahead to the next round blocks until the previous one is fully
-   drained. *)
-type collective_slot = {
-  mutable values : (int * float) list; (* (color, local result) *)
-  arrived : bool array; (* per shard, this round *)
-  mutable result : float option;
-  consumed : bool array;
-}
-
-type barrier_state = { mutable arrived : int; mutable generation : int }
-
-type bstate = {
+type state = {
   source : Program.t;
   ctx : Interp.Run.context;
   block : Prog.block;
   insts : (string * int, Physical.t) Hashtbl.t; (* (partition, color) *)
   pairs : (int, Intersections.pairs) Hashtbl.t; (* copy_id -> pairs *)
-  chans : (int * int * int, chan) Hashtbl.t; (* (copy_id, i, j) *)
-  mailbox : (int * int, (int * Physical.t) list ref) Hashtbl.t;
-      (* (copy_id, dst color) -> staged reduction payloads *)
-  barrier : barrier_state;
-  ckpt_barrier : barrier_state; (* dedicated barrier for Checkpoint instrs *)
-  mutable collectives : (Prog.instr * collective_slot) list;
-      (* keyed by the Launch_collective instruction itself, by physical
-         identity — two distinct collectives can be structurally equal, but
-         all shards share the same instruction values *)
   fault : Resilience.Fault.t option;
   rstats : stats option;
   ckpt_sink : (Resilience.Checkpoint.t -> unit) option;
   trace : Obs.Trace.t;
-  data_plane : [ `Plans | `Scalar ];
   plans : (int * int * int * int, Copy_plan.t) Hashtbl.t;
       (* (role, copy_id, src color, dst color) -> compiled plan; role
          distinguishes the direct move, the reduction staging copy and the
@@ -152,12 +130,19 @@ let part_of_operand source = function
   | Prog.Opart p -> Some (Program.find_partition source p)
   | Prog.Oregion _ -> None
 
+let part_name = function
+  | Prog.Opart p -> p
+  | Prog.Oregion r ->
+      invalid_arg ("Spmd.Exec: region operand " ^ r ^ " in a shard copy")
+
 let instance st pname color =
   match Hashtbl.find_opt st.insts (pname, color) with
   | Some inst -> inst
   | None ->
       invalid_arg
         (Printf.sprintf "Spmd.Exec: no instance for %s[%d]" pname color)
+
+let pairs st cid = Hashtbl.find st.pairs cid
 
 (* Partitions mentioned anywhere in the block (launch arguments, copies,
    fills) — each of their subregions gets its own storage (§3.1). *)
@@ -236,9 +221,8 @@ let fields_used_of_partition (source : Program.t) (b : Prog.block) pname =
   go b.Prog.finalize;
   !acc
 
-let create_state ?stats ?fault ?ckpt_sink ?(trace = Obs.Trace.null)
-    ?(data_plane = `Plans) ?(sanitize = false) ~(source : Program.t) ctx
-    (b : Prog.block) =
+let create_state ?stats ?fault ?ckpt_sink ?(trace = Obs.Trace.null) ?san
+    ?(pool = false) ~(source : Program.t) ctx (b : Prog.block) =
   let isect = Option.map (fun s -> s.isect) stats in
   let st =
     {
@@ -247,21 +231,13 @@ let create_state ?stats ?fault ?ckpt_sink ?(trace = Obs.Trace.null)
       block = b;
       insts = Hashtbl.create 64;
       pairs = Hashtbl.create 16;
-      chans = Hashtbl.create 64;
-      mailbox = Hashtbl.create 16;
-      barrier = { arrived = 0; generation = 0 };
-      ckpt_barrier = { arrived = 0; generation = 0 };
-      collectives = [];
       fault;
       rstats = stats;
       ckpt_sink;
       trace;
-      data_plane;
       plans = Hashtbl.create 32;
       plan_mu = Mutex.create ();
-      san =
-        (if sanitize then Some (Sanitizer.create ~nshards:b.Prog.shards)
-         else None);
+      san;
     }
   in
   List.iter
@@ -273,8 +249,7 @@ let create_state ?stats ?fault ?ckpt_sink ?(trace = Obs.Trace.null)
           (Physical.create_over sub.Region.ispace fields)
       done)
     (partitions_used source b);
-  (* Dynamic analysis (§3.3): pair sets for partition-to-partition copies,
-     plus one war/raw channel per non-empty pair. *)
+  (* Dynamic analysis (§3.3): pair sets for partition-to-partition copies. *)
   List.iter
     (fun (c : Prog.copy) ->
       match (part_of_operand source c.Prog.src, part_of_operand source c.Prog.dst) with
@@ -283,30 +258,24 @@ let create_state ?stats ?fault ?ckpt_sink ?(trace = Obs.Trace.null)
             match c.Prog.pairs with
             | `Sparse ->
                 (* Cached per partition pair (partitions are immutable, so
-                   re-running a program re-uses the analysis); big color
-                   counts additionally fan the shallow queries and the
-                   complete phase out across the shared pool. This runs on
-                   the main domain before any shard spawns, satisfying the
-                   pool's outside-only calling convention. *)
+                   re-running a program re-uses the analysis); with [pool],
+                   big color counts additionally fan the shallow queries and
+                   the complete phase out across the shared pool. This runs
+                   on the main domain before any shard spawns, satisfying
+                   the pool's outside-only calling convention; processes
+                   that fork later keep [pool] off. *)
                 let pool =
                   if
-                    Partition.color_count src + Partition.color_count dst
-                    >= 256
+                    pool
+                    && Partition.color_count src + Partition.color_count dst
+                       >= 256
                   then Some (Taskpool.Pool.default ())
                   else None
                 in
                 Intersections.compute_cached ?stats:isect ?pool ~src ~dst ()
             | `Dense -> Intersections.compute_all_pairs ?stats:isect ~src ~dst ()
           in
-          Hashtbl.replace st.pairs c.Prog.copy_id pairs;
-          let war =
-            Option.value ~default:1
-              (List.assoc_opt c.Prog.copy_id b.Prog.credits)
-          in
-          List.iter
-            (fun (i, j, _) ->
-              Hashtbl.replace st.chans (c.Prog.copy_id, i, j) { war; raw = 0 })
-            pairs.Intersections.items
+          Hashtbl.replace st.pairs c.Prog.copy_id pairs
       | _ -> ())
     b.Prog.copies;
   st
@@ -323,72 +292,92 @@ let role_direct = 0
 let role_stage = 1
 let role_apply = 2
 
-(* Execute one physical move of copy [cid] between colors [i] and [j]
-   ([-1] = the root region side of a master copy). Under [`Plans] the
-   (src_off, dst_off, len) runs are compiled on first execution, memoized
-   in [st.plans] and replayed as blits / fused reduction loops; under
-   [`Scalar] (the ablation baseline) every execution resolves addresses
-   per element via {!Physical.transfer}. *)
+(* The plan of one physical move of copy [cid] between colors [i] and [j]
+   ([-1] = the root region side of a master copy): the (src_off, dst_off,
+   len) runs are compiled on first use, memoized in [st.plans] and counted
+   as one replay per use. *)
+let plan st ~role ~cid ~i ~j ?space ~fields ~src ~dst () =
+  let key = (role, cid, i, j) in
+  Mutex.lock st.plan_mu;
+  let hit = Hashtbl.find_opt st.plans key in
+  Mutex.unlock st.plan_mu;
+  let p =
+    match hit with
+    | Some p -> p
+    | None ->
+        let p = Copy_plan.build ?space ~src ~dst ~fields () in
+        bump st (fun s -> s.plan_builds);
+        Mutex.protect st.plan_mu (fun () -> Hashtbl.replace st.plans key p);
+        p
+  in
+  bump st (fun s -> s.plan_replays);
+  (match st.rstats with
+  | None -> ()
+  | Some s ->
+      ignore
+        (Atomic.fetch_and_add s.blit_volume (Copy_plan.volume p * List.length fields)));
+  p
+
+let copy_plan st ~cid ~i ~j ?space ~fields ~src ~dst () =
+  plan st ~role:role_direct ~cid ~i ~j ?space ~fields ~src ~dst ()
+
+(* Execute one physical move by replaying its plan as blits / fused
+   reduction loops. *)
 let exec_copy st ~role ~cid ~i ~j ?space ~fields ~reduce ~src ~dst () =
-  match st.data_plane with
-  | `Scalar -> (
-      match reduce with
-      | None -> Physical.copy_into ~fields ~src ~dst ()
-      | Some op -> Physical.reduce_into ~op ~fields ~src ~dst ())
-  | `Plans ->
-      let key = (role, cid, i, j) in
-      let plan =
-        match
-          Mutex.protect st.plan_mu (fun () -> Hashtbl.find_opt st.plans key)
-        with
-        | Some p -> p
-        | None ->
-            let p = Copy_plan.build ?space ~src ~dst ~fields () in
-            bump st (fun s -> s.plan_builds);
-            Mutex.protect st.plan_mu (fun () ->
-                Hashtbl.replace st.plans key p);
-            p
-      in
-      bump st (fun s -> s.plan_replays);
-      (match st.rstats with
-      | None -> ()
-      | Some s ->
-          ignore
-            (Atomic.fetch_and_add s.blit_volume
-               (Copy_plan.volume plan * List.length fields)));
-      Copy_plan.execute plan ~reduce ~src ~dst
+  Copy_plan.execute
+    (plan st ~role ~cid ~i ~j ?space ~fields ~src ~dst ())
+    ~reduce ~src ~dst
 
 (* Sequential (master-side) execution of an init/finalize copy: every color
    at once, no synchronisation. *)
 let master_copy st (c : Prog.copy) =
   let cid = c.Prog.copy_id and fields = c.Prog.fields in
-  let do_one ~i ~j ~src ~dst =
-    exec_copy st ~role:role_direct ~cid ~i ~j ~fields ~reduce:c.Prog.reduce
-      ~src ~dst ()
+  let do_one ~i ~j ?space ~src ~dst () =
+    exec_copy st ~role:role_direct ~cid ~i ~j ?space ~fields
+      ~reduce:c.Prog.reduce ~src ~dst ()
   in
   match (c.Prog.src, c.Prog.dst) with
   | Prog.Oregion rs, Prog.Opart pd ->
       let p = Program.find_partition st.source pd in
       let src = root_inst st rs in
       for color = 0 to Partition.color_count p - 1 do
-        do_one ~i:(-1) ~j:color ~src ~dst:(instance st pd color)
+        do_one ~i:(-1) ~j:color ~src ~dst:(instance st pd color) ()
       done
   | Prog.Opart ps, Prog.Oregion rd ->
       let p = Program.find_partition st.source ps in
       let dst = root_inst st rd in
       for color = 0 to Partition.color_count p - 1 do
-        do_one ~i:color ~j:(-1) ~src:(instance st ps color) ~dst
+        do_one ~i:color ~j:(-1) ~src:(instance st ps color) ~dst ()
       done
   | Prog.Opart ps, Prog.Opart pd ->
-      let pairs = Hashtbl.find st.pairs c.Prog.copy_id in
       List.iter
         (fun (i, j, space) ->
-          exec_copy st ~role:role_direct ~cid ~i ~j ~space ~fields
-            ~reduce:c.Prog.reduce ~src:(instance st ps i)
-            ~dst:(instance st pd j) ())
-        pairs.Intersections.items
+          do_one ~i ~j ~space ~src:(instance st ps i) ~dst:(instance st pd j) ())
+        (pairs st cid).Intersections.items
   | Prog.Oregion rs, Prog.Oregion rd ->
-      do_one ~i:(-1) ~j:(-1) ~src:(root_inst st rs) ~dst:(root_inst st rd)
+      do_one ~i:(-1) ~j:(-1) ~src:(root_inst st rs) ~dst:(root_inst st rd) ()
+
+let fill_colors st ~part ~fields ~op colors =
+  List.iter
+    (fun c ->
+      let inst = instance st part c in
+      List.iter (fun fld -> Physical.fill inst fld (Privilege.identity_of op)) fields)
+    colors
+
+(* Initialization runs sequentially, outside the shards (Fig. 4d). *)
+let init st =
+  List.iter
+    (function
+      | Prog.Copy c -> master_copy st c
+      | Prog.Fill { part; fields; op } ->
+          let p = Program.find_partition st.source part in
+          fill_colors st ~part ~fields ~op
+            (List.init (Partition.color_count p) Fun.id)
+      | instr ->
+          invalid_arg
+            (Format.asprintf "Spmd.Exec: unsupported init instruction %a"
+               Prog.pp_instr instr))
+    st.block.Prog.init
 
 (* ---------- shard streams ---------- *)
 
@@ -400,23 +389,20 @@ type frame = {
   loop : loop_info option;
 }
 
-type wait_state =
-  | Ready
-  | In_barrier of int (* generation observed at arrival *)
-  | In_collective of string (* deposited, waiting for the result *)
-  | In_ckpt of int (* checkpoint-barrier generation observed at arrival *)
-
 type shard = {
   sid : int;
   env : Eval.env;
   mutable frames : frame list;
-  mutable wait : wait_state;
+  mutable joined : int option;
+      (* handle of the barrier/collective this shard has arrived at *)
   mutable stall : int; (* injected delay: remaining blocked attempts *)
   mutable fault_drawn : bool; (* drew faults for the current instruction *)
   mutable resume : int option; (* restart: first iteration of the time loop *)
+  mutable t0 : float; (* trace start of the current instruction, or nan *)
 }
 
 let shard_done s = s.frames = []
+let shard_env s = s.env
 
 let owner st pname color =
   let p = Program.find_partition st.source pname in
@@ -565,142 +551,27 @@ let run_launch_color st ~sid env (l : Types.launch) c =
       in
       attempt 0
 
-let chan st key = Hashtbl.find st.chans key
-
 (* Pairs of a copy grouped by the role this shard plays. *)
 let owned_src_pairs st sid (c : Prog.copy) =
-  let pairs = Hashtbl.find st.pairs c.Prog.copy_id in
-  let ps = match c.Prog.src with Prog.Opart p -> p | Prog.Oregion _ -> assert false in
-  List.filter (fun (i, _, _) -> owner st ps i = sid) pairs.Intersections.items
+  let ps = part_name c.Prog.src in
+  List.filter
+    (fun (i, _, _) -> owner st ps i = sid)
+    (pairs st c.Prog.copy_id).Intersections.items
 
 let owned_dst_pairs st sid copy_id =
   let c = List.find (fun (c : Prog.copy) -> c.Prog.copy_id = copy_id) st.block.Prog.copies in
-  let pairs = Hashtbl.find st.pairs copy_id in
-  let pd = match c.Prog.dst with Prog.Opart p -> p | Prog.Oregion _ -> assert false in
-  (c, List.filter (fun (_, j, _) -> owner st pd j = sid) pairs.Intersections.items)
-
-(* A shard-side copy: wait for all write-after-read credits on owned pairs,
-   then move data (staging reduction payloads) and signal read-after-write
-   tokens (§3.4: copies are issued by the producer). *)
-let try_copy st s (c : Prog.copy) =
-  let owned = owned_src_pairs st s.sid c in
-  let all_credits =
-    List.for_all (fun (i, j, _) -> (chan st (c.Prog.copy_id, i, j)).war > 0) owned
-  in
-  if not all_credits then `Blocked
-  else begin
-    let ps = match c.Prog.src with Prog.Opart p -> p | Prog.Oregion _ -> assert false in
-    let pd = match c.Prog.dst with Prog.Opart p -> p | Prog.Oregion _ -> assert false in
-    List.iter
-      (fun (i, j, space) ->
-        let ch = chan st (c.Prog.copy_id, i, j) in
-        ch.war <- ch.war - 1;
-        san_acquire st ~sid:s.sid (Sanitizer.K_war (c.Prog.copy_id, i, j));
-        san_access st ~sid:s.sid ~part:ps ~color:i ~fields:c.Prog.fields
-          Sanitizer.A_read space;
-        let src = instance st ps i and dst = instance st pd j in
-        (match c.Prog.reduce with
-        | None ->
-            san_access st ~sid:s.sid ~part:pd ~color:j ~fields:c.Prog.fields
-              Sanitizer.A_write space;
-            exec_copy st ~role:role_direct ~cid:c.Prog.copy_id ~i ~j ~space
-              ~fields:c.Prog.fields ~reduce:None ~src ~dst ()
-        | Some _ ->
-            (* Snapshot the payload now — the producer may overwrite the
-               source before the consumer applies — and stage it; the
-               consumer folds payloads in ascending source color for
-               deterministic floating-point results. The staging plan is
-               replayed against each iteration's fresh snapshot: offsets
-               depend only on the (invariant) spaces, not the instance. *)
-            let snapshot = Physical.create_over space c.Prog.fields in
-            exec_copy st ~role:role_stage ~cid:c.Prog.copy_id ~i ~j ~space
-              ~fields:c.Prog.fields ~reduce:None ~src ~dst:snapshot ();
-            let key = (c.Prog.copy_id, j) in
-            let box =
-              match Hashtbl.find_opt st.mailbox key with
-              | Some b -> b
-              | None ->
-                  let b = ref [] in
-                  Hashtbl.replace st.mailbox key b;
-                  b
-            in
-            box := (i, snapshot) :: !box);
-        san_release st ~sid:s.sid (Sanitizer.K_raw (c.Prog.copy_id, i, j));
-        ch.raw <- ch.raw + 1)
-      owned;
-    `Progress
-  end
-
-let try_await st s copy_id =
-  let c, owned = owned_dst_pairs st s.sid copy_id in
-  let ready =
-    List.for_all (fun (i, j, _) -> (chan st (copy_id, i, j)).raw > 0) owned
-  in
-  if not ready then `Blocked
-  else begin
-    List.iter
-      (fun (i, j, _) ->
-        let ch = chan st (copy_id, i, j) in
-        ch.raw <- ch.raw - 1;
-        san_acquire st ~sid:s.sid (Sanitizer.K_raw (copy_id, i, j)))
-      owned;
-    (match c.Prog.reduce with
-    | None -> ()
-    | Some op ->
-        let pd = match c.Prog.dst with Prog.Opart p -> p | Prog.Oregion _ -> assert false in
-        List.iter
-          (fun (_, j, _) ->
-            match Hashtbl.find_opt st.mailbox (copy_id, j) with
-            | None -> ()
-            | Some box ->
-                let staged =
-                  List.sort (fun (a, _) (b, _) -> Int.compare a b) !box
-                in
-                box := [];
-                List.iter
-                  (fun (i, snapshot) ->
-                    san_access st ~sid:s.sid ~part:pd ~color:j
-                      ~fields:c.Prog.fields Sanitizer.A_write
-                      (Physical.ispace snapshot);
-                    exec_copy st ~role:role_apply ~cid:copy_id ~i ~j
-                      ~fields:c.Prog.fields ~reduce:(Some op) ~src:snapshot
-                      ~dst:(instance st pd j) ())
-                  staged)
-          owned);
-    `Progress
-  end
-
-let do_release st s copy_id =
-  let _, owned = owned_dst_pairs st s.sid copy_id in
-  List.iter
-    (fun (i, j, _) ->
-      let ch = chan st (copy_id, i, j) in
-      san_release st ~sid:s.sid (Sanitizer.K_war (copy_id, i, j));
-      ch.war <- ch.war + 1)
-    owned
-
-let collective_slot st instr =
-  match List.assq_opt instr st.collectives with
-  | Some slot -> slot
-  | None ->
-      let n = st.block.Prog.shards in
-      let slot =
-        {
-          values = [];
-          arrived = Array.make n false;
-          result = None;
-          consumed = Array.make n false;
-        }
-      in
-      st.collectives <- (instr, slot) :: st.collectives;
-      slot
+  let pd = part_name c.Prog.dst in
+  ( c,
+    List.filter
+      (fun (_, j, _) -> owner st pd j = sid)
+      (pairs st copy_id).Intersections.items )
 
 (* ---------- checkpoint capture ---------- *)
 
 (* Build a consistent cut of the run. Callers guarantee quiescence: every
    shard is parked at the checkpoint barrier of the same time-loop
-   boundary (stepper), or the capturing shard holds the monitor lock with
-   all others blocked on the same barrier (domains). *)
+   boundary and the last arriver takes the cut (holding the monitor lock
+   under domains). *)
 let take_checkpoint st ~iter ~env sink =
   let insts =
     Hashtbl.fold
@@ -743,7 +614,314 @@ let restart_point (b : Prog.block) (ck : Resilience.Checkpoint.t) =
   | None ->
       invalid_arg "Spmd.Exec: cannot restore a block without a time loop"
 
-(* ---------- the stepper ---------- *)
+(* ---------- the sync substrate ----------
+
+   Everything the shard machine needs from its backend: WAR credits, the
+   data move that publishes a RAW token, token consumption with payload
+   application, and the barrier/collective rendezvous. [shared_sync]
+   implements it over shared memory (cooperatively, or under a monitor for
+   domains); lib/net implements it over the wire. *)
+
+type pair = int * int * Index_space.t
+
+type rendezvous =
+  | Barrier
+  | Checkpoint of (unit -> unit)
+  | Collective of { instr : Prog.instr; var : string; op : Privilege.redop }
+
+type sync = {
+  take_credits : Prog.copy -> pair list -> bool;
+  put : Prog.copy -> pair -> release:(unit -> unit) -> unit;
+  take : Prog.copy -> pair list -> acquired:(unit -> unit) -> bool;
+  grant : Prog.copy -> pair list -> unit;
+  can_join : int -> rendezvous -> bool;
+  join : int -> rendezvous -> (int * float) list -> int;
+  poll : int -> rendezvous -> int -> float option;
+  threaded : bool;
+  chan : int * int * int -> int * int;
+  meet_diag : rendezvous -> int option -> Resilience.Diag.wait;
+}
+
+type chan = { mutable war : int; mutable raw : int }
+
+(* One scalar collective (a Launch_collective instruction). A round: every
+   shard deposits its per-color partial results; the last depositor folds
+   them in ascending color order and publishes; every shard consumes; the
+   last consumer resets the slot for the next loop iteration. A shard that
+   races ahead to the next round waits until the previous one is fully
+   drained. *)
+type collective_slot = {
+  mutable values : (int * float) list; (* (color, local result) *)
+  arrived : bool array; (* per shard, this round *)
+  mutable result : float option;
+  consumed : bool array;
+}
+
+type barrier_state = { mutable arrived : int; mutable generation : int }
+
+(* Domains' monitor: one lock over all sync metadata, and a version that
+   every state change that can unblock a shard bumps before it
+   broadcasts. *)
+type monitor = { mu : Mutex.t; cv : Condition.t; version : int Atomic.t }
+
+let count_true a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
+
+let fold_sorted op values =
+  List.fold_left
+    (fun acc (_, v) -> Privilege.apply_redop op acc v)
+    (Privilege.identity_of op)
+    (List.sort (fun (a, _) (b, _) -> Int.compare a b) values)
+
+(* Shared-memory substrate. Without a monitor it is the cooperative one;
+   with one, counter, mailbox and slot updates run under its lock while
+   data moves stay outside it (the war/raw protocol itself guarantees
+   exclusive access to the instances). Diagnostic readers never lock: the
+   watchdog calls them with the monitor held. *)
+let shared_sync st mon =
+  let shards = st.block.Prog.shards in
+  let chans = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun cid (ps : Intersections.pairs) ->
+      let war =
+        Option.value ~default:1 (List.assoc_opt cid st.block.Prog.credits)
+      in
+      List.iter
+        (fun (i, j, _) -> Hashtbl.replace chans (cid, i, j) { war; raw = 0 })
+        ps.Intersections.items)
+    st.pairs;
+  let chan key = Hashtbl.find chans key in
+  (* (copy_id, dst color) -> staged reduction payloads *)
+  let mailbox = Hashtbl.create 16 in
+  let barrier = { arrived = 0; generation = 0 } in
+  let ckpt_barrier = { arrived = 0; generation = 0 } in
+  (* Keyed by the Launch_collective instruction itself, by physical
+     identity — two distinct collectives can be structurally equal, but all
+     shards share the same instruction values. Created up front so the
+     list is read-only while shards run. *)
+  let rec collect acc = function
+    | [] -> acc
+    | (Prog.Launch_collective _ as i) :: rest ->
+        let slot =
+          {
+            values = [];
+            arrived = Array.make shards false;
+            result = None;
+            consumed = Array.make shards false;
+          }
+        in
+        collect ((i, slot) :: acc) rest
+    | Prog.For_time { body; _ } :: rest -> collect (collect acc body) rest
+    | _ :: rest -> collect acc rest
+  in
+  let collectives = collect [] st.block.Prog.body in
+  let slot instr = List.assq instr collectives in
+  let locked f = match mon with None -> f () | Some m -> Mutex.protect m.mu f in
+  let signal () =
+    match mon with
+    | None -> ()
+    | Some m ->
+        Atomic.incr m.version;
+        Condition.broadcast m.cv
+  in
+  let barrier_of = function
+    | Checkpoint _ -> ckpt_barrier
+    | Barrier | Collective _ -> barrier
+  in
+  let each owned f = List.iter (fun (i, j, _) -> f i j) owned in
+  {
+    take_credits =
+      (fun c owned ->
+        let cid = c.Prog.copy_id in
+        locked (fun () ->
+            List.for_all (fun (i, j, _) -> (chan (cid, i, j)).war > 0) owned
+            && begin
+                 each owned (fun i j ->
+                     let ch = chan (cid, i, j) in
+                     ch.war <- ch.war - 1);
+                 true
+               end));
+    put =
+      (fun c (i, j, space) ~release ->
+        let cid = c.Prog.copy_id and fields = c.Prog.fields in
+        let src = instance st (part_name c.Prog.src) i in
+        let dst = instance st (part_name c.Prog.dst) j in
+        let staged =
+          match c.Prog.reduce with
+          | None ->
+              exec_copy st ~role:role_direct ~cid ~i ~j ~space ~fields
+                ~reduce:None ~src ~dst ();
+              None
+          | Some _ ->
+              (* Snapshot the payload now — the producer may overwrite the
+                 source before the consumer applies — and stage it; the
+                 consumer folds payloads in ascending source color for
+                 deterministic floating-point results. The staging plan is
+                 replayed against each iteration's fresh snapshot: offsets
+                 depend only on the (invariant) spaces, not the instance. *)
+              let snapshot = Physical.create_over space fields in
+              exec_copy st ~role:role_stage ~cid ~i ~j ~space ~fields
+                ~reduce:None ~src ~dst:snapshot ();
+              Some snapshot
+        in
+        release ();
+        locked (fun () ->
+            Option.iter
+              (fun snapshot ->
+                match Hashtbl.find_opt mailbox (cid, j) with
+                | Some box -> box := (i, snapshot) :: !box
+                | None -> Hashtbl.replace mailbox (cid, j) (ref [ (i, snapshot) ]))
+              staged;
+            let ch = chan (cid, i, j) in
+            ch.raw <- ch.raw + 1;
+            signal ()));
+    take =
+      (fun c owned ~acquired ->
+        let cid = c.Prog.copy_id in
+        let staged =
+          locked (fun () ->
+              if not (List.for_all (fun (i, j, _) -> (chan (cid, i, j)).raw > 0) owned)
+              then None
+              else begin
+                each owned (fun i j ->
+                    let ch = chan (cid, i, j) in
+                    ch.raw <- ch.raw - 1);
+                Some
+                  (if c.Prog.reduce = None then []
+                   else
+                     List.map
+                       (fun (_, j, _) ->
+                         match Hashtbl.find_opt mailbox (cid, j) with
+                         | None -> (j, [])
+                         | Some box ->
+                             let l = !box in
+                             box := [];
+                             (j, l))
+                       owned)
+              end)
+        in
+        match (staged, c.Prog.reduce) with
+        | None, _ -> false
+        | Some _, None ->
+            acquired ();
+            true
+        | Some staged, Some op ->
+            acquired ();
+            let pd = part_name c.Prog.dst in
+            List.iter
+              (fun (j, l) ->
+                List.iter
+                  (fun (i, snapshot) ->
+                    exec_copy st ~role:role_apply ~cid ~i ~j ~fields:c.Prog.fields
+                      ~reduce:(Some op) ~src:snapshot ~dst:(instance st pd j) ())
+                  (List.sort (fun (a, _) (b, _) -> Int.compare a b) l))
+              staged;
+            true);
+    grant =
+      (fun c owned ->
+        locked (fun () ->
+            each owned (fun i j ->
+                let ch = chan (c.Prog.copy_id, i, j) in
+                ch.war <- ch.war + 1);
+            signal ()));
+    can_join =
+      (fun sid -> function
+        | Collective { instr; _ } ->
+            locked (fun () ->
+                let s = slot instr in
+                s.result = None && not s.arrived.(sid))
+        | Barrier | Checkpoint _ -> true);
+    join =
+      (fun sid rv values ->
+        locked (fun () ->
+            let h =
+              match rv with
+              | Collective { instr; op; _ } ->
+                  let s = slot instr in
+                  s.values <- values @ s.values;
+                  s.arrived.(sid) <- true;
+                  if Array.for_all Fun.id s.arrived then
+                    s.result <- Some (fold_sorted op s.values);
+                  0
+              | Barrier | Checkpoint _ ->
+                  let b = barrier_of rv in
+                  let gen = b.generation in
+                  b.arrived <- b.arrived + 1;
+                  if b.arrived = shards then begin
+                    b.arrived <- 0;
+                    (match rv with Checkpoint cut -> cut () | _ -> ());
+                    b.generation <- gen + 1
+                  end;
+                  gen
+            in
+            signal ();
+            h));
+    poll =
+      (fun sid rv h ->
+        locked (fun () ->
+            match rv with
+            | Collective { instr; _ } -> (
+                let s = slot instr in
+                match s.result with
+                | None -> None
+                | Some r ->
+                    s.consumed.(sid) <- true;
+                    if Array.for_all Fun.id s.consumed then begin
+                      s.values <- [];
+                      Array.fill s.arrived 0 shards false;
+                      Array.fill s.consumed 0 shards false;
+                      s.result <- None
+                    end;
+                    signal ();
+                    Some r)
+            | Barrier | Checkpoint _ ->
+                if (barrier_of rv).generation > h then Some 0. else None));
+    threaded = mon <> None;
+    chan =
+      (fun key ->
+        let ch = chan key in
+        (ch.war, ch.raw));
+    meet_diag =
+      (fun rv _ ->
+        match rv with
+        | Collective { instr; var; _ } ->
+            let s = slot instr in
+            Resilience.Diag.At_collective
+              {
+                var;
+                arrived = count_true s.arrived;
+                consumed = count_true s.consumed;
+                published = s.result <> None;
+              }
+        | Barrier ->
+            Resilience.Diag.At_barrier
+              { arrived = barrier.arrived; generation = barrier.generation }
+        | Checkpoint _ ->
+            Resilience.Diag.At_checkpoint
+              { arrived = ckpt_barrier.arrived; generation = ckpt_barrier.generation });
+  }
+
+(* ---------- the shard machine ---------- *)
+
+let new_shard st ~sid ~restore env =
+  let start, resume =
+    match restore with
+    | None -> (0, None)
+    | Some ck ->
+        let k, start = restart_point st.block ck in
+        (k, Some start)
+  in
+  {
+    sid;
+    env;
+    frames = [ { instrs = Array.of_list st.block.Prog.body; idx = start; loop = None } ];
+    joined = None;
+    stall = 0;
+    fault_drawn = false;
+    resume;
+    t0 = Float.nan;
+  }
+
+let shard st ~sid env = new_shard st ~sid ~restore:None env
 
 let push_loop ?(start = 0) s var count body =
   if start < count then begin
@@ -773,53 +951,93 @@ let rec normalize_frames s =
    instance: a shard stall (any instruction) and a delayed channel release
    (Release only). Drawn exactly once per instruction *instance* — blocked
    re-attempts never re-draw — so the schedule is a function of the
-   shard's deterministic instruction stream, not of scheduling. *)
-let draw_instr_faults st s instr =
+   shard's deterministic instruction stream, not of scheduling. A threaded
+   shard sleeps out the delay; a stepped one sits out that many steps. *)
+let draw_instr_faults st sync s instr =
   match st.fault with
   | None -> ()
   | Some inj ->
       if not s.fault_drawn then begin
         s.fault_drawn <- true;
         let pol = Resilience.Fault.policy inj in
-        if Resilience.Fault.draw inj Resilience.Fault.Shard_stall ~shard:s.sid
-        then begin
+        let delay steps =
           bump st (fun x -> x.injected);
-          s.stall <- s.stall + pol.Resilience.Fault.stall_steps
-        end;
+          if sync.threaded then Unix.sleepf pol.Resilience.Fault.delay_seconds
+          else s.stall <- s.stall + steps
+        in
+        if Resilience.Fault.draw inj Resilience.Fault.Shard_stall ~shard:s.sid
+        then delay pol.Resilience.Fault.stall_steps;
         match instr with
         | Prog.Release id ->
             if
               Resilience.Fault.draw inj
                 (Resilience.Fault.Release_delay id)
                 ~shard:s.sid
-            then begin
-              bump st (fun x -> x.injected);
-              s.stall <- s.stall + pol.Resilience.Fault.release_delay_steps
-            end
+            then delay pol.Resilience.Fault.release_delay_steps
         | _ -> ()
+      end
+
+(* A barrier, checkpoint barrier or collective: arrive once (depositing
+   [values ()]), then poll until the rendezvous completes. Arrival changes
+   shared state, so it counts as progress even when the shard then
+   waits. *)
+let meet st sync s rv key ~values ~arrived ~finish advance =
+  let sid = s.sid in
+  let poll h =
+    match sync.poll sid rv h with
+    | None -> `Blocked
+    | Some r ->
+        san_acquire st ~sid key;
+        s.joined <- None;
+        finish r;
+        advance ()
+  in
+  match s.joined with
+  | Some h -> poll h
+  | None ->
+      if not (sync.can_join sid rv) then `Blocked
+      else begin
+        let vs = values () in
+        (* The release precedes the arrival becoming visible: a shard that
+           completes the rendezvous acquires immediately, and must find
+           this shard's accesses already joined into the key's clock. *)
+        san_release st ~sid key;
+        let h = sync.join sid rv vs in
+        s.joined <- Some h;
+        arrived h;
+        ignore (poll h);
+        `Progress
       end
 
 (* Execute (or block on) the shard's current instruction. [`Stalled] means
    an injected delay is pending — the shard cannot move, but will without
    further events (so it never counts toward deadlock detection). *)
-let step st s =
+let step st sync s =
   normalize_frames s;
   match s.frames with
   | [] -> `Done
   | f :: _ -> (
       let instr = f.instrs.(f.idx) in
-      draw_instr_faults st s instr;
+      draw_instr_faults st sync s instr;
       if s.stall > 0 then begin
         s.stall <- s.stall - 1;
         `Stalled
       end
       else
-        let tr = st.trace in
-        let tid = shard_tid s.sid in
-        let t0 = if Obs.Trace.enabled tr then Obs.Trace.now_us tr else 0. in
-        let advance () =
+        let tr = st.trace and sid = s.sid in
+        let tid = shard_tid sid in
+        (* A stepped shard's span covers its successful attempt; a threaded
+           one's runs from its first attempt, so it includes the wait. *)
+        if Obs.Trace.enabled tr && (Float.is_nan s.t0 || not sync.threaded) then
+          s.t0 <- Obs.Trace.now_us tr;
+        let next () =
           f.idx <- f.idx + 1;
           s.fault_drawn <- false;
+          s.t0 <- Float.nan
+        in
+        let advance () =
+          let t0 = s.t0 in
+          next ();
           normalize_frames s;
           if Obs.Trace.enabled tr then
             Obs.Trace.complete tr ~tid ~cat:"exec" ~ts:t0
@@ -832,732 +1050,317 @@ let step st s =
             Eval.set s.env v (Eval.sexpr s.env e);
             advance ()
         | Prog.For_time { var; count; body } ->
-            f.idx <- f.idx + 1;
-            s.fault_drawn <- false;
+            next ();
             Obs.Trace.instant tr ~tid ~cat:"exec"
               ~args:[ ("count", Obs.Trace.Int count) ]
               "for_time";
-            let start =
-              match s.resume with
-              | Some t0 ->
-                  s.resume <- None;
-                  t0
-              | None -> 0
-            in
+            let start = Option.value ~default:0 s.resume in
+            s.resume <- None;
             push_loop ~start s var count body;
             normalize_frames s;
             `Progress
         | Prog.Launch { space; launch } ->
             List.iter
-              (fun c -> ignore (run_launch_color st ~sid:s.sid s.env launch c))
-              (owned_space_colors st s.sid space);
+              (fun c -> ignore (run_launch_color st ~sid s.env launch c))
+              (owned_space_colors st sid space);
             advance ()
         | Prog.Fill { part; fields; op } ->
             let p = Program.find_partition st.source part in
+            let colors =
+              Prog.colors_of_shard ~shards:st.block.Prog.shards
+                ~colors:(Partition.color_count p) sid
+            in
             List.iter
               (fun c ->
-                let inst = instance st part c in
-                san_access st ~sid:s.sid ~part ~color:c ~fields
-                  Sanitizer.A_write (Physical.ispace inst);
-                List.iter
-                  (fun fld -> Physical.fill inst fld (Privilege.identity_of op))
-                  fields)
-              (Prog.colors_of_shard ~shards:st.block.Prog.shards
-                 ~colors:(Partition.color_count p) s.sid);
+                san_access st ~sid ~part ~color:c ~fields Sanitizer.A_write
+                  (Physical.ispace (instance st part c)))
+              colors;
+            fill_colors st ~part ~fields ~op colors;
             advance ()
-        | Prog.Copy c -> (
-            match try_copy st s c with
-            | `Blocked -> `Blocked
-            | `Progress -> advance ())
-        | Prog.Await id -> (
-            match try_await st s id with
-            | `Blocked -> `Blocked
-            | `Progress -> advance ())
+        | Prog.Copy c ->
+            (* Producer-issued copy (§3.4): take every owned pair's
+               write-after-read credit, then move each pair's data and
+               publish its read-after-write token. *)
+            let owned = owned_src_pairs st sid c in
+            if not (sync.take_credits c owned) then `Blocked
+            else begin
+              let cid = c.Prog.copy_id and fields = c.Prog.fields in
+              let ps = part_name c.Prog.src and pd = part_name c.Prog.dst in
+              List.iter
+                (fun ((i, j, space) as pair) ->
+                  san_acquire st ~sid (Sanitizer.K_war (cid, i, j));
+                  san_access st ~sid ~part:ps ~color:i ~fields Sanitizer.A_read
+                    space;
+                  (* A plain copy's write is the producer's; a reduction's
+                     application is the consumer's, at [Await]. *)
+                  if c.Prog.reduce = None then
+                    san_access st ~sid ~part:pd ~color:j ~fields
+                      Sanitizer.A_write space;
+                  sync.put c pair ~release:(fun () ->
+                      san_release st ~sid (Sanitizer.K_raw (cid, i, j))))
+                owned;
+              advance ()
+            end
+        | Prog.Await id ->
+            let c, owned = owned_dst_pairs st sid id in
+            let acquired () =
+              List.iter
+                (fun (i, j, _) -> san_acquire st ~sid (Sanitizer.K_raw (id, i, j)))
+                owned;
+              if c.Prog.reduce <> None then
+                List.iter
+                  (fun (_, j, space) ->
+                    san_access st ~sid ~part:(part_name c.Prog.dst) ~color:j
+                      ~fields:c.Prog.fields Sanitizer.A_write space)
+                  owned
+            in
+            if sync.take c owned ~acquired then advance () else `Blocked
         | Prog.Release id ->
-            do_release st s id;
+            let c, owned = owned_dst_pairs st sid id in
+            (* Join this shard's reads into the key before any producer can
+               observe the fresh credit. *)
+            List.iter
+              (fun (i, j, _) -> san_release st ~sid (Sanitizer.K_war (id, i, j)))
+              owned;
+            sync.grant c owned;
             Obs.Trace.instant tr ~tid ~cat:"exec"
               ~args:[ ("copy_id", Obs.Trace.Int id) ]
               "credit.release";
             advance ()
-        | Prog.Barrier -> (
-            match s.wait with
-            | In_barrier gen ->
-                if st.barrier.generation > gen then begin
-                  san_acquire st ~sid:s.sid Sanitizer.K_barrier;
-                  s.wait <- Ready;
-                  advance ()
-                end
-                else `Blocked
-            | Ready | In_collective _ | In_ckpt _ ->
-                (* Arrival mutates shared state, so it counts as progress even
-                   though the shard then waits. *)
-                let gen = st.barrier.generation in
-                st.barrier.arrived <- st.barrier.arrived + 1;
-                s.wait <- In_barrier gen;
-                san_release st ~sid:s.sid Sanitizer.K_barrier;
+        | Prog.Barrier ->
+            meet st sync s Barrier Sanitizer.K_barrier
+              ~values:(fun () -> [])
+              ~arrived:(fun gen ->
                 Obs.Trace.instant tr ~tid ~cat:"exec"
                   ~args:[ ("generation", Obs.Trace.Int gen) ]
-                  "barrier.arrive";
-                if st.barrier.arrived = st.block.Prog.shards then begin
-                  st.barrier.arrived <- 0;
-                  st.barrier.generation <- gen + 1;
-                  san_acquire st ~sid:s.sid Sanitizer.K_barrier;
-                  s.wait <- Ready;
-                  ignore (advance ())
-                end;
-                `Progress)
+                  "barrier.arrive")
+              ~finish:ignore advance
         | Prog.Checkpoint { var; every } -> (
             match st.ckpt_sink with
             | None -> advance ()
-            | Some sink -> (
+            | Some sink ->
                 let t = int_of_float (Eval.get s.env var) in
                 if (t + 1) mod every <> 0 then advance ()
                 else
                   (* A dedicated barrier quiesces every shard at this loop
                      boundary; the last arriver serializes the cut. *)
-                  match s.wait with
-                  | In_ckpt gen ->
-                      if st.ckpt_barrier.generation > gen then begin
-                        san_acquire st ~sid:s.sid Sanitizer.K_ckpt;
-                        s.wait <- Ready;
-                        advance ()
-                      end
-                      else `Blocked
-                  | Ready | In_barrier _ | In_collective _ ->
-                      let gen = st.ckpt_barrier.generation in
-                      st.ckpt_barrier.arrived <- st.ckpt_barrier.arrived + 1;
-                      s.wait <- In_ckpt gen;
-                      san_release st ~sid:s.sid Sanitizer.K_ckpt;
-                      if st.ckpt_barrier.arrived = st.block.Prog.shards then begin
-                        st.ckpt_barrier.arrived <- 0;
-                        st.ckpt_barrier.generation <- gen + 1;
-                        take_checkpoint st ~iter:t ~env:s.env sink;
-                        san_acquire st ~sid:s.sid Sanitizer.K_ckpt;
-                        s.wait <- Ready;
-                        ignore (advance ())
-                      end;
-                      `Progress))
-        | Prog.Launch_collective { space; launch; var; op } as instr -> (
-            let slot = collective_slot st instr in
-            let shards = st.block.Prog.shards in
-            match s.wait with
-            | In_collective _ -> (
-                match slot.result with
-                | None -> `Blocked
-                | Some r ->
-                    san_acquire st ~sid:s.sid Sanitizer.K_collective;
-                    Eval.set s.env var r;
-                    slot.consumed.(s.sid) <- true;
-                    if Array.for_all Fun.id slot.consumed then begin
-                      slot.values <- [];
-                      Array.fill slot.arrived 0 shards false;
-                      Array.fill slot.consumed 0 shards false;
-                      slot.result <- None
-                    end;
-                    s.wait <- Ready;
-                    advance ())
-            | Ready | In_barrier _ | In_ckpt _ ->
-                if slot.result <> None then
-                  (* A previous round is still being drained by slower
-                     shards; wait for the reset. *)
-                  `Blocked
-                else begin
-                  (* Deposit per-color partial results; the last shard to
-                     arrive folds them in ascending color order (bitwise
-                     equal to the sequential fold) and publishes. *)
-                  let mine =
-                    List.map
-                      (fun c ->
-                        (c, run_launch_color st ~sid:s.sid s.env launch c))
-                      (owned_space_colors st s.sid space)
-                  in
-                  slot.values <- mine @ slot.values;
-                  slot.arrived.(s.sid) <- true;
-                  san_release st ~sid:s.sid Sanitizer.K_collective;
-                  s.wait <- In_collective var;
-                  Obs.Trace.instant tr ~tid ~cat:"exec"
-                    ~args:[ ("var", Obs.Trace.Str var) ]
-                    "collective.deposit";
-                  if Array.for_all Fun.id slot.arrived then begin
-                    let sorted =
-                      List.sort
-                        (fun (a, _) (b, _) -> Int.compare a b)
-                        slot.values
-                    in
-                    slot.result <-
-                      Some
-                        (List.fold_left
-                           (fun acc (_, v) -> Privilege.apply_redop op acc v)
-                           (Privilege.identity_of op)
-                           sorted)
-                  end;
-                  (* The deposit itself is progress; the shard picks the
-                     result up on a later step. *)
-                  `Progress
-                end))
+                  meet st sync s
+                    (Checkpoint (fun () -> take_checkpoint st ~iter:t ~env:s.env sink))
+                    Sanitizer.K_ckpt
+                    ~values:(fun () -> [])
+                    ~arrived:ignore ~finish:ignore advance)
+        | Prog.Launch_collective { space; launch; var; op } ->
+            (* Deposit per-color partial results; the rendezvous folds them
+               in ascending color order (bitwise equal to the sequential
+               fold) and hands every shard the result. *)
+            meet st sync s
+              (Collective { instr; var; op })
+              Sanitizer.K_collective
+              ~values:(fun () ->
+                List.map
+                  (fun c -> (c, run_launch_color st ~sid s.env launch c))
+                  (owned_space_colors st sid space))
+              ~arrived:(fun _ ->
+                Obs.Trace.instant tr ~tid ~cat:"exec"
+                  ~args:[ ("var", Obs.Trace.Str var) ]
+                  "collective.deposit")
+              ~finish:(fun r -> Eval.set s.env var r)
+              advance)
 
 (* ---------- stall/deadlock diagnostics ---------- *)
 
-let chan_diag st (cid, i, j) =
-  let ch = chan st (cid, i, j) in
-  {
-    Resilience.Diag.copy_id = cid;
-    src = i;
-    dst = j;
-    war = ch.war;
-    raw = ch.raw;
-  }
+(* The structured picture of a shard parked on its current instruction. *)
+let shard_diag st sync s =
+  normalize_frames s;
+  match s.frames with
+  | [] -> { Resilience.Diag.sid = s.sid; instr = None; wait = Resilience.Diag.Finished }
+  | f :: _ ->
+      let instr = f.instrs.(f.idx) in
+      let chans cid owned =
+        List.map
+          (fun (i, j, _) ->
+            let war, raw = sync.chan (cid, i, j) in
+            { Resilience.Diag.copy_id = cid; src = i; dst = j; war; raw })
+          owned
+      in
+      let wait =
+        match instr with
+        | Prog.Copy c ->
+            Resilience.Diag.At_copy (chans c.Prog.copy_id (owned_src_pairs st s.sid c))
+        | Prog.Await id ->
+            Resilience.Diag.At_await (chans id (snd (owned_dst_pairs st s.sid id)))
+        | Prog.Barrier -> sync.meet_diag Barrier s.joined
+        | Prog.Checkpoint _ -> sync.meet_diag (Checkpoint ignore) s.joined
+        | Prog.Launch_collective { var; op; _ } ->
+            sync.meet_diag (Collective { instr; var; op }) s.joined
+        | _ -> Resilience.Diag.Running
+      in
+      {
+        Resilience.Diag.sid = s.sid;
+        instr = Some (Format.asprintf "%a" Prog.pp_instr instr);
+        wait;
+      }
 
-let count_true a = Array.fold_left (fun n b -> if b then n + 1 else n) 0 a
-
-(* The structured picture of a shard parked on [instr] (stepper side). *)
-let wait_of_instr st sid wait instr =
-  match instr with
-  | Prog.Copy c ->
-      Resilience.Diag.At_copy
-        (List.map
-           (fun (i, j, _) -> chan_diag st (c.Prog.copy_id, i, j))
-           (owned_src_pairs st sid c))
-  | Prog.Await id ->
-      let _, owned = owned_dst_pairs st sid id in
-      Resilience.Diag.At_await
-        (List.map (fun (i, j, _) -> chan_diag st (id, i, j)) owned)
-  | Prog.Barrier ->
-      Resilience.Diag.At_barrier
-        { arrived = st.barrier.arrived; generation = st.barrier.generation }
-  | Prog.Checkpoint _ ->
-      Resilience.Diag.At_checkpoint
-        {
-          arrived = st.ckpt_barrier.arrived;
-          generation = st.ckpt_barrier.generation;
-        }
-  | Prog.Launch_collective { var; _ } ->
-      let slot = collective_slot st instr in
-      Resilience.Diag.At_collective
-        {
-          var;
-          arrived = count_true slot.arrived;
-          consumed = count_true slot.consumed;
-          published = slot.result <> None;
-        }
-  | _ -> (
-      (* Not a blocking instruction; report the wait state instead. *)
-      match wait with
-      | In_barrier _ ->
-          Resilience.Diag.At_barrier
-            { arrived = st.barrier.arrived; generation = st.barrier.generation }
-      | _ -> Resilience.Diag.Running)
-
-let diagnose st ~reason shards =
-  let shard_diag s =
-    match s.frames with
-    | [] ->
-        { Resilience.Diag.sid = s.sid; instr = None; wait = Resilience.Diag.Finished }
-    | f :: _ ->
-        let instr = f.instrs.(f.idx) in
-        {
-          Resilience.Diag.sid = s.sid;
-          instr = Some (Format.asprintf "%a" Prog.pp_instr instr);
-          wait = wait_of_instr st s.sid s.wait instr;
-        }
+let diagnose sync ~reason rows =
+  let barrier_arrived, barrier_generation =
+    match sync.meet_diag Barrier None with
+    | Resilience.Diag.At_barrier { arrived; generation } -> (arrived, generation)
+    | _ -> (0, 0)
   in
-  {
-    Resilience.Diag.reason;
-    shards = List.map shard_diag shards;
-    barrier_arrived = st.barrier.arrived;
-    barrier_generation = st.barrier.generation;
-  }
+  { Resilience.Diag.reason; shards = rows; barrier_arrived; barrier_generation }
 
-(* ---------- real-parallel execution on OCaml domains ----------
+(* ---------- drivers ---------- *)
 
-   One domain per shard. All synchronisation metadata (war/raw counters,
-   reduction mailboxes, the barrier and collective slots) is protected by a
-   single monitor; waits block on its condition variable. Data movement
-   happens outside the lock — the war/raw protocol itself guarantees
-   exclusive access, which is exactly the property this mode stress-tests:
-   if the compiler's synchronisation insertion were wrong, domains would
-   race or hang. A stall watchdog (lib/resilience) monitors per-shard
-   heartbeats: when every live shard sits in a wait with no progress for
-   the timeout, the run raises {!Deadlock} with per-shard diagnostics
-   instead of hanging forever. *)
+(* Cooperative: sweep the shards from a scheduler-chosen point. If a full
+   sweep makes no progress and no shard is merely serving an injected
+   delay, every live shard is blocked on runtime state that no one can
+   change: a deadlock, reported with per-shard diagnostics. *)
+let drive_stepper st shards rng =
+  let sync = shared_sync st None in
+  let rr = ref 0 in
+  let rec drive () =
+    match List.filter (fun s -> not (shard_done s)) (Array.to_list shards) with
+    | [] -> ()
+    | alive ->
+        let arr = Array.of_list alive in
+        let n = Array.length arr in
+        (match rng with
+        | Some state ->
+            for i = n - 1 downto 1 do
+              let j = Random.State.int state (i + 1) in
+              let t = arr.(i) in
+              arr.(i) <- arr.(j);
+              arr.(j) <- t
+            done
+        | None ->
+            let k = !rr mod n in
+            incr rr;
+            let rot = Array.copy arr in
+            Array.iteri (fun i _ -> arr.(i) <- rot.((i + k) mod n)) rot);
+        let progressed = ref false and stalled = ref false in
+        Array.iter
+          (fun s ->
+            match step st sync s with
+            | `Progress | `Done -> progressed := true
+            | `Stalled -> stalled := true
+            | `Blocked -> ())
+          arr;
+        if not !progressed && not !stalled then
+          raise
+            (Deadlock
+               (diagnose sync
+                  ~reason:(Printf.sprintf "all %d live shards blocked" n)
+                  (List.map (shard_diag st sync) alive)));
+        drive ()
+  in
+  drive ()
 
-type domain_status = {
-  mutable cur : Prog.instr option; (* instruction being executed *)
-  mutable waiting : (unit -> Resilience.Diag.wait) option;
-  mutable finished : bool;
-}
-
-let drive_domains st (b : Prog.block) master_env ~watchdog ~restore =
-  let m = Mutex.create () and cv = Condition.create () in
-  let shards = b.Prog.shards in
-  let progress = ref 0 in
+(* Real parallel execution on OCaml domains, one per shard, over the
+   monitor substrate. A blocked shard parks on the condition variable
+   until the monitor's version moves past the one it read before its
+   attempt, then retries — so no wake-up is lost. A stall watchdog
+   (lib/resilience) trips when every live shard is parked with no version
+   change for the timeout, and the run raises {!Deadlock} with per-shard
+   diagnostics instead of hanging forever. *)
+let drive_domains st shards ~watchdog =
+  let mon = { mu = Mutex.create (); cv = Condition.create (); version = Atomic.make 0 } in
+  let sync = shared_sync st (Some mon) in
+  let n = Array.length shards in
+  let waiting = Array.make n false and finished = Array.make n false in
   let tripped = ref None in
-  let status =
-    Array.init shards (fun _ -> { cur = None; waiting = None; finished = false })
-  in
-  let locked f =
-    Mutex.lock m;
-    incr progress;
-    (* Exception-safe: a checkpoint sink or kernel raising inside a
-       critical section must not leave the monitor held (the other shards
-       could then never reach the watchdog's trip path). *)
-    Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-  in
-  (* Pre-create collective slots so the lookup list is read-only while the
-     domains run. *)
-  let rec precreate instrs =
-    List.iter
-      (function
-        | Prog.Launch_collective _ as i -> ignore (collective_slot st i)
-        | Prog.For_time { body; _ } -> precreate body
-        | _ -> ())
-      instrs
-  in
-  precreate b.Prog.body;
-  let body_arr = Array.of_list b.Prog.body in
-  let restart =
-    match restore with
-    | None -> None
-    | Some ck -> Some (restart_point b ck)
-  in
-  let shard_main sid () =
-    let env = Eval.copy master_env in
-    let tr = st.trace in
-    let tid = shard_tid sid in
-    (* Block until [pred], parking a description of the wait for the
-       watchdog; raises once the watchdog has declared the run dead. *)
-    let wait_until ~why pred =
-      Mutex.lock m;
-      status.(sid).waiting <- Some why;
-      while not (pred ()) && !tripped = None do
-        Condition.wait cv m
-      done;
-      status.(sid).waiting <- None;
-      incr progress;
-      let dead = !tripped in
-      Mutex.unlock m;
-      match dead with Some d -> raise (Deadlock d) | None -> ()
-    in
-    let sleep_faults instr =
-      match st.fault with
-      | None -> ()
-      | Some inj ->
-          let pol = Resilience.Fault.policy inj in
-          if
-            Resilience.Fault.draw inj Resilience.Fault.Shard_stall ~shard:sid
-          then begin
-            bump st (fun x -> x.injected);
-            Unix.sleepf pol.Resilience.Fault.delay_seconds
-          end;
-          (match instr with
-          | Prog.Release id ->
-              if
-                Resilience.Fault.draw inj
-                  (Resilience.Fault.Release_delay id)
-                  ~shard:sid
-              then begin
-                bump st (fun x -> x.injected);
-                Unix.sleepf pol.Resilience.Fault.delay_seconds
-              end
-          | _ -> ())
-    in
-    let rec exec instr =
-      locked (fun () -> status.(sid).cur <- Some instr);
-      sleep_faults instr;
-      match instr with
-      | Prog.For_time { var; count; body } ->
-          (* Matches the stepper: a loop header is an instant, not a span
-             that would cover every iteration. *)
-          Obs.Trace.instant tr ~tid ~cat:"exec"
-            ~args:[ ("count", Obs.Trace.Int count) ]
-            "for_time";
-          exec_for ~var ~count ~body ~from:0
-      | instr ->
-          let t0 = if Obs.Trace.enabled tr then Obs.Trace.now_us tr else 0. in
-          exec_instr instr;
-          if Obs.Trace.enabled tr then
-            Obs.Trace.complete tr ~tid ~cat:"exec" ~ts:t0
-              ~dur:(Obs.Trace.now_us tr -. t0)
-              (instr_label instr)
-    and exec_instr instr =
-      match instr with
-      | Prog.For_time _ -> assert false (* handled in [exec] *)
-      | Prog.Assign (v, e) -> Eval.set env v (Eval.sexpr env e)
-      | Prog.Launch { space; launch } ->
-          List.iter
-            (fun c -> ignore (run_launch_color st ~sid env launch c))
-            (owned_space_colors st sid space)
-      | Prog.Fill { part; fields; op } ->
-          let p = Program.find_partition st.source part in
-          List.iter
-            (fun c ->
-              let inst = instance st part c in
-              san_access st ~sid ~part ~color:c ~fields Sanitizer.A_write
-                (Physical.ispace inst);
-              List.iter
-                (fun fld -> Physical.fill inst fld (Privilege.identity_of op))
-                fields)
-            (Prog.colors_of_shard ~shards ~colors:(Partition.color_count p) sid)
-      | Prog.Copy c ->
-          let ps =
-            match c.Prog.src with Prog.Opart p -> p | Prog.Oregion _ -> assert false
-          and pd =
-            match c.Prog.dst with Prog.Opart p -> p | Prog.Oregion _ -> assert false
-          in
-          List.iter
-            (fun (i, j, space) ->
-              let ch = chan st (c.Prog.copy_id, i, j) in
-              wait_until
-                ~why:(fun () ->
-                  Resilience.Diag.At_copy [ chan_diag st (c.Prog.copy_id, i, j) ])
-                (fun () -> ch.war > 0);
-              locked (fun () -> ch.war <- ch.war - 1);
-              san_acquire st ~sid (Sanitizer.K_war (c.Prog.copy_id, i, j));
-              san_access st ~sid ~part:ps ~color:i ~fields:c.Prog.fields
-                Sanitizer.A_read space;
-              let src = instance st ps i and dst = instance st pd j in
-              (match c.Prog.reduce with
-              | None ->
-                  san_access st ~sid ~part:pd ~color:j ~fields:c.Prog.fields
-                    Sanitizer.A_write space;
-                  exec_copy st ~role:role_direct ~cid:c.Prog.copy_id ~i ~j
-                    ~space ~fields:c.Prog.fields ~reduce:None ~src ~dst ()
-              | Some _ ->
-                  let snapshot = Physical.create_over space c.Prog.fields in
-                  exec_copy st ~role:role_stage ~cid:c.Prog.copy_id ~i ~j
-                    ~space ~fields:c.Prog.fields ~reduce:None ~src
-                    ~dst:snapshot ();
-                  locked (fun () ->
-                      let key = (c.Prog.copy_id, j) in
-                      let box =
-                        match Hashtbl.find_opt st.mailbox key with
-                        | Some b -> b
-                        | None ->
-                            let b = ref [] in
-                            Hashtbl.replace st.mailbox key b;
-                            b
-                      in
-                      box := (i, snapshot) :: !box));
-              (* The release must precede making the token visible: a
-                 consumer woken by the broadcast acquires [K_raw]
-                 immediately, and must find this shard's accesses already
-                 joined into the key's clock. *)
-              san_release st ~sid (Sanitizer.K_raw (c.Prog.copy_id, i, j));
-              locked (fun () ->
-                  ch.raw <- ch.raw + 1;
-                  Condition.broadcast cv))
-            (owned_src_pairs st sid c)
-      | Prog.Await copy_id ->
-          let c, owned = owned_dst_pairs st sid copy_id in
-          List.iter
-            (fun (i, j, _) ->
-              let ch = chan st (copy_id, i, j) in
-              wait_until
-                ~why:(fun () ->
-                  Resilience.Diag.At_await [ chan_diag st (copy_id, i, j) ])
-                (fun () -> ch.raw > 0);
-              locked (fun () -> ch.raw <- ch.raw - 1);
-              san_acquire st ~sid (Sanitizer.K_raw (copy_id, i, j)))
-            owned;
-          (match c.Prog.reduce with
-          | None -> ()
-          | Some op ->
-              let pd =
-                match c.Prog.dst with
-                | Prog.Opart p -> p
-                | Prog.Oregion _ -> assert false
-              in
-              List.iter
-                (fun (_, j, _) ->
-                  let staged =
-                    locked (fun () ->
-                        match Hashtbl.find_opt st.mailbox (copy_id, j) with
-                        | None -> []
-                        | Some box ->
-                            let l = !box in
-                            box := [];
-                            l)
-                  in
-                  List.iter
-                    (fun (i, snapshot) ->
-                      san_access st ~sid ~part:pd ~color:j
-                        ~fields:c.Prog.fields Sanitizer.A_write
-                        (Physical.ispace snapshot);
-                      exec_copy st ~role:role_apply ~cid:copy_id ~i ~j
-                        ~fields:c.Prog.fields ~reduce:(Some op) ~src:snapshot
-                        ~dst:(instance st pd j) ())
-                    (List.sort (fun (a, _) (b, _) -> Int.compare a b) staged))
-                owned)
-      | Prog.Release copy_id ->
-          let _, owned = owned_dst_pairs st sid copy_id in
-          (* As with [K_raw] above: join this shard's reads into the key
-             before any producer can observe the fresh credit. *)
-          List.iter
-            (fun (i, j, _) ->
-              san_release st ~sid (Sanitizer.K_war (copy_id, i, j)))
-            owned;
-          locked (fun () ->
-              List.iter
-                (fun (i, j, _) ->
-                  let ch = chan st (copy_id, i, j) in
-                  ch.war <- ch.war + 1)
-                owned;
-              Condition.broadcast cv);
-          Obs.Trace.instant tr ~tid ~cat:"exec"
-            ~args:[ ("copy_id", Obs.Trace.Int copy_id) ]
-            "credit.release"
-      | Prog.Barrier ->
-          let gen =
-            locked (fun () ->
-                let gen = st.barrier.generation in
-                st.barrier.arrived <- st.barrier.arrived + 1;
-                (* Inside the monitor: every arrival's release lands in the
-                   key's clock before the last arriver bumps the generation
-                   and wakes the departing shards. *)
-                san_release st ~sid Sanitizer.K_barrier;
-                if st.barrier.arrived = shards then begin
-                  st.barrier.arrived <- 0;
-                  st.barrier.generation <- gen + 1;
-                  Condition.broadcast cv
-                end;
-                gen)
-          in
-          Obs.Trace.instant tr ~tid ~cat:"exec"
-            ~args:[ ("generation", Obs.Trace.Int gen) ]
-            "barrier.arrive";
-          wait_until
-            ~why:(fun () ->
-              Resilience.Diag.At_barrier
-                {
-                  arrived = st.barrier.arrived;
-                  generation = st.barrier.generation;
-                })
-            (fun () -> st.barrier.generation > gen);
-          san_acquire st ~sid Sanitizer.K_barrier
-      | Prog.Checkpoint { var; every } -> (
-          match st.ckpt_sink with
-          | None -> ()
-          | Some sink ->
-              let t = int_of_float (Eval.get env var) in
-              if (t + 1) mod every = 0 then begin
-                (* Quiesce all shards; the last arriver serializes the cut
-                   while holding the monitor (everyone else is parked on
-                   this barrier, so the data is stable). *)
-                let gen =
-                  locked (fun () ->
-                      let gen = st.ckpt_barrier.generation in
-                      st.ckpt_barrier.arrived <- st.ckpt_barrier.arrived + 1;
-                      san_release st ~sid Sanitizer.K_ckpt;
-                      if st.ckpt_barrier.arrived = shards then begin
-                        st.ckpt_barrier.arrived <- 0;
-                        take_checkpoint st ~iter:t ~env sink;
-                        st.ckpt_barrier.generation <- gen + 1;
-                        Condition.broadcast cv
-                      end;
-                      gen)
-                in
-                wait_until
-                  ~why:(fun () ->
-                    Resilience.Diag.At_checkpoint
-                      {
-                        arrived = st.ckpt_barrier.arrived;
-                        generation = st.ckpt_barrier.generation;
-                      })
-                  (fun () -> st.ckpt_barrier.generation > gen);
-                san_acquire st ~sid Sanitizer.K_ckpt
-              end)
-      | Prog.Launch_collective { space; launch; var; op } as instr ->
-          let slot = collective_slot st instr in
-          let why () =
-            Resilience.Diag.At_collective
-              {
-                var;
-                arrived = count_true slot.arrived;
-                consumed = count_true slot.consumed;
-                published = slot.result <> None;
-              }
-          in
-          (* A previous round must have fully drained before depositing. *)
-          wait_until ~why (fun () -> slot.result = None && not slot.arrived.(sid));
-          let mine =
-            List.map
-              (fun c -> (c, run_launch_color st ~sid env launch c))
-              (owned_space_colors st sid space)
-          in
-          locked (fun () ->
-              slot.values <- mine @ slot.values;
-              slot.arrived.(sid) <- true;
-              san_release st ~sid Sanitizer.K_collective;
-              if Array.for_all Fun.id slot.arrived then begin
-                let sorted =
-                  List.sort (fun (a, _) (b, _) -> Int.compare a b) slot.values
-                in
-                slot.result <-
-                  Some
-                    (List.fold_left
-                       (fun acc (_, v) -> Privilege.apply_redop op acc v)
-                       (Privilege.identity_of op)
-                       sorted)
-              end;
-              Condition.broadcast cv);
-          Obs.Trace.instant tr ~tid ~cat:"exec"
-            ~args:[ ("var", Obs.Trace.Str var) ]
-            "collective.deposit";
-          wait_until ~why (fun () -> slot.result <> None);
-          san_acquire st ~sid Sanitizer.K_collective;
-          let r = locked (fun () -> Option.get slot.result) in
-          Eval.set env var r;
-          locked (fun () ->
-              slot.consumed.(sid) <- true;
-              if Array.for_all Fun.id slot.consumed then begin
-                slot.values <- [];
-                Array.fill slot.arrived 0 shards false;
-                Array.fill slot.consumed 0 shards false;
-                slot.result <- None
-              end;
-              Condition.broadcast cv)
-    and exec_for ~var ~count ~body ~from =
-      for t = from to count - 1 do
-        Eval.set env var (float_of_int t);
-        List.iter exec body
-      done
-    in
-    let run_body () =
-      match restart with
-      | None -> Array.iter exec body_arr
-      | Some (k, start) ->
-          (* Resume: everything before the time loop already happened (its
-             effects live in the restored checkpoint); the loop itself
-             restarts at the checkpointed iteration + 1. *)
-          for i = k to Array.length body_arr - 1 do
-            match body_arr.(i) with
-            | Prog.For_time { var; count; body } when i = k ->
-                locked (fun () -> status.(sid).cur <- Some body_arr.(i));
-                Obs.Trace.instant tr ~tid ~cat:"exec"
-                  ~args:[ ("count", Obs.Trace.Int count) ]
-                  "for_time";
-                exec_for ~var ~count ~body ~from:start
-            | instr -> exec instr
-          done
-    in
+  let shard_main s () =
     Fun.protect
       ~finally:(fun () ->
         (* Mark the shard finished in *all* exit paths (including a leaf
            fault exhausting its retries) so the watchdog can still declare
            the survivors deadlocked instead of reporting them running. *)
-        locked (fun () ->
-            status.(sid).finished <- true;
-            Condition.broadcast cv))
+        Mutex.protect mon.mu (fun () ->
+            finished.(s.sid) <- true;
+            Atomic.incr mon.version;
+            Condition.broadcast mon.cv))
       (fun () ->
-        run_body ();
-        env)
+        let rec go () =
+          let seen = Atomic.get mon.version in
+          match step st sync s with
+          | `Done -> ()
+          | `Progress | `Stalled -> go ()
+          | `Blocked ->
+              Mutex.lock mon.mu;
+              waiting.(s.sid) <- true;
+              while Atomic.get mon.version = seen && !tripped = None do
+                Condition.wait mon.cv mon.mu
+              done;
+              waiting.(s.sid) <- false;
+              let dead = !tripped in
+              Mutex.unlock mon.mu;
+              (match dead with Some d -> raise (Deadlock d) | None -> go ())
+        in
+        go ())
   in
-  (* The watchdog trips when every live shard sits in a wait with an
-     unchanged progress counter for the full timeout. *)
   let dog =
     if watchdog <= 0. then None
     else
       let observe () =
-        Mutex.lock m;
-        let all_done = Array.for_all (fun s -> s.finished) status in
-        let quiescent =
-          Array.for_all (fun s -> s.finished || s.waiting <> None) status
-        in
-        let n = !progress in
-        Mutex.unlock m;
-        if all_done then `Done else if quiescent then `Quiescent n else `Running n
+        Mutex.protect mon.mu (fun () ->
+            let v = Atomic.get mon.version in
+            if Array.for_all Fun.id finished then `Done
+            else if Array.for_all2 ( || ) finished waiting then `Quiescent v
+            else `Running v)
       in
       let trip () =
-        Mutex.lock m;
-        let shard_diags =
-          Array.to_list
-            (Array.mapi
-               (fun sid s ->
-                 if s.finished then
-                   {
-                     Resilience.Diag.sid;
-                     instr = None;
-                     wait = Resilience.Diag.Finished;
-                   }
-                 else
-                   {
-                     Resilience.Diag.sid;
-                     instr =
-                       Option.map
-                         (Format.asprintf "%a" Prog.pp_instr)
-                         s.cur;
-                     wait =
-                       (match s.waiting with
-                       | Some why -> why ()
-                       | None -> Resilience.Diag.Running);
-                   })
-               status)
-        in
-        tripped :=
-          Some
-            {
-              Resilience.Diag.reason =
-                Printf.sprintf
-                  "stall watchdog: no progress for %.2fs with every live \
-                   shard blocked"
-                  watchdog;
-              shards = shard_diags;
-              barrier_arrived = st.barrier.arrived;
-              barrier_generation = st.barrier.generation;
-            };
-        Condition.broadcast cv;
-        Mutex.unlock m
+        Mutex.protect mon.mu (fun () ->
+            let row s =
+              if finished.(s.sid) then
+                {
+                  Resilience.Diag.sid = s.sid;
+                  instr = None;
+                  wait = Resilience.Diag.Finished;
+                }
+              else shard_diag st sync s
+            in
+            tripped :=
+              Some
+                (diagnose sync
+                   ~reason:
+                     (Printf.sprintf
+                        "stall watchdog: no progress for %.2fs with every live \
+                         shard blocked"
+                        watchdog)
+                   (Array.to_list (Array.map row shards)));
+            Condition.broadcast mon.cv)
       in
       let poll = Float.max 0.002 (Float.min 0.05 (watchdog /. 5.)) in
       Some (Resilience.Watchdog.start ~poll ~timeout:watchdog ~observe ~trip ())
   in
-  let domains = Array.init shards (fun sid -> Domain.spawn (shard_main sid)) in
+  let domains = Array.map (fun s -> Domain.spawn (shard_main s)) shards in
   let results =
     Array.map
       (fun d ->
         match Domain.join d with
-        | env -> Ok env
-        | exception e -> Error (e, Printexc.get_raw_backtrace ()))
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ()))
       domains
   in
   Option.iter Resilience.Watchdog.stop dog;
   (* Prefer a root-cause failure (e.g. a leaf fault past its retry cap)
      over the consequential Deadlock the survivors raised. *)
-  let root_cause =
-    Array.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | Some _, _ | _, Ok _ -> acc
-        | None, Error ((Deadlock _, _) as e) -> Some e
-        | None, Error e -> Some e)
-      None results
-  in
-  let first_non_deadlock =
-    Array.fold_left
-      (fun acc r ->
-        match (acc, r) with
-        | Some _, _ | _, Ok _ -> acc
-        | None, Error (Deadlock _, _) -> None
-        | None, Error e -> Some e)
-      None results
-  in
-  (match (first_non_deadlock, root_cause) with
-  | Some (e, bt), _ -> Printexc.raise_with_backtrace e bt
-  | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None, None -> ());
-  if shards > 0 then
-    match results.(0) with
-    | Ok env ->
-        List.iter (fun (k, v) -> Eval.set master_env k v) (Eval.bindings env)
-    | Error _ -> ()
+  let failures = List.filter_map Fun.id (Array.to_list results) in
+  match
+    List.find_opt (function Deadlock _, _ -> false | _ -> true) failures, failures
+  with
+  | Some (e, bt), _ | None, (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
+  | None, [] -> ()
 
 let run_block ?(sched = `Round_robin) ?stats ?fault ?(watchdog = 60.)
-    ?checkpoint_sink ?restore ?(trace = Obs.Trace.null) ?data_plane ?sanitize
+    ?checkpoint_sink ?restore ?(trace = Obs.Trace.null) ?(sanitize = false)
     ~source ctx (b : Prog.block) =
+  let san =
+    if sanitize then Some (Sanitizer.create ~nshards:b.Prog.shards) else None
+  in
   let st =
     Obs.Trace.with_span trace ~tid:0 ~cat:"exec" "exec.analyze" (fun () ->
-        create_state ?stats ?fault ?ckpt_sink:checkpoint_sink ~trace
-          ?data_plane ?sanitize ~source ctx b)
+        create_state ?stats ?fault ?ckpt_sink:checkpoint_sink ~trace ?san
+          ~pool:true ~source ctx b)
   in
   if Obs.Trace.enabled trace then
     for sid = 0 to b.Prog.shards - 1 do
@@ -1570,111 +1373,18 @@ let run_block ?(sched = `Round_robin) ?stats ?fault ?(watchdog = 60.)
       (* Restart: the checkpoint replaces both the initialization copies
          and everything the time loop did up to [ck.iter]. *)
       restore_state st master_env ck
-  | None ->
-      (* Initialization runs sequentially, outside the shards (Fig. 4d). *)
-      Obs.Trace.with_span trace ~tid:0 ~cat:"exec" "exec.init" (fun () ->
-          List.iter
-            (function
-              | Prog.Copy c -> master_copy st c
-              | Prog.Fill { part; fields; op } ->
-                  let p = Program.find_partition source part in
-                  for color = 0 to Partition.color_count p - 1 do
-                    let inst = instance st part color in
-                    List.iter
-                      (fun fld ->
-                        Physical.fill inst fld (Privilege.identity_of op))
-                      fields
-                  done
-              | instr ->
-                  invalid_arg
-                    (Format.asprintf
-                       "Spmd.Exec: unsupported init instruction %a"
-                       Prog.pp_instr instr))
-            b.Prog.init));
-  (* Shard streams. *)
-  let drive_stepper rng =
-    let start_idx, resume =
-      match restore with
-      | None -> (0, None)
-      | Some ck ->
-          let k, start = restart_point b ck in
-          (k, Some start)
-    in
-    let shards =
-      Array.init b.Prog.shards (fun sid ->
-          {
-            sid;
-            env = Eval.copy master_env;
-            frames =
-              [ { instrs = Array.of_list b.Prog.body; idx = start_idx; loop = None } ];
-            wait = Ready;
-            stall = 0;
-            fault_drawn = false;
-            resume;
-          })
-    in
-    let live () =
-      Array.to_list shards |> List.filter (fun s -> not (shard_done s))
-    in
-    let rr = ref 0 in
-    let rec drive () =
-      match live () with
-      | [] -> ()
-      | alive ->
-          (* Sweep the shards from a scheduler-chosen point. If a full sweep
-             makes no progress and no shard is merely serving an injected
-             delay, every live shard is blocked on runtime state that no
-             one can change: a deadlock, reported with per-shard
-             diagnostics. *)
-          let order =
-            match rng with
-            | Some state ->
-                let arr = Array.of_list alive in
-                for i = Array.length arr - 1 downto 1 do
-                  let j = Random.State.int state (i + 1) in
-                  let t = arr.(i) in
-                  arr.(i) <- arr.(j);
-                  arr.(j) <- t
-                done;
-                Array.to_list arr
-            | None ->
-                let n = List.length alive in
-                let k = !rr mod n in
-                incr rr;
-                let arr = Array.of_list alive in
-                List.init n (fun i -> arr.((i + k) mod n))
-          in
-          let progressed = ref false and stalled = ref false in
-          List.iter
-            (fun s ->
-              match step st s with
-              | `Progress | `Done -> progressed := true
-              | `Stalled -> stalled := true
-              | `Blocked -> ())
-            order;
-          if not !progressed && not !stalled then
-            raise
-              (Deadlock
-                 (diagnose st
-                    ~reason:
-                      (Printf.sprintf "all %d live shards blocked"
-                         (List.length alive))
-                    alive));
-          drive ()
-    in
-    drive ();
-    (* Replicated scalar state is identical on all shards; fold it back. *)
-    match shards with
-    | [||] -> ()
-    | _ ->
-        List.iter
-          (fun (k, v) -> Eval.set master_env k v)
-          (Eval.bindings shards.(0).env)
+  | None -> Obs.Trace.with_span trace ~tid:0 ~cat:"exec" "exec.init" (fun () -> init st));
+  let shards =
+    Array.init b.Prog.shards (fun sid ->
+        new_shard st ~sid ~restore (Eval.copy master_env))
   in
   (match sched with
-  | `Round_robin -> drive_stepper None
-  | `Random seed -> drive_stepper (Some (Random.State.make [| seed |]))
-  | `Domains -> drive_domains st b master_env ~watchdog ~restore);
+  | `Round_robin -> drive_stepper st shards None
+  | `Random seed -> drive_stepper st shards (Some (Random.State.make [| seed |]))
+  | `Domains -> drive_domains st shards ~watchdog);
+  (* Replicated scalar state is identical on all shards; fold it back. *)
+  if b.Prog.shards > 0 then
+    List.iter (fun (k, v) -> Eval.set master_env k v) (Eval.bindings shards.(0).env);
   (* Finalization, sequential again. *)
   Obs.Trace.with_span trace ~tid:0 ~cat:"exec" "exec.finalize" (fun () ->
       List.iter
@@ -1688,7 +1398,7 @@ let run_block ?(sched = `Round_robin) ?stats ?fault ?(watchdog = 60.)
         b.Prog.finalize)
 
 let run ?sched ?stats ?fault ?watchdog ?checkpoint_sink ?restore ?trace
-    ?data_plane ?sanitize (t : Prog.t) ctx =
+    ?sanitize (t : Prog.t) ctx =
   (* A restore resumes the program at its first replicated block: the
      sequential prefix ran before the checkpoint was taken and its effects
      (root instances, scalars) are part of the restored cut. *)
@@ -1700,5 +1410,5 @@ let run ?sched ?stats ?fault ?watchdog ?checkpoint_sink ?restore ?trace
           let restore = if !restoring then restore else None in
           restoring := false;
           run_block ?sched ?stats ?fault ?watchdog ?checkpoint_sink ?restore
-            ?trace ?data_plane ?sanitize ~source:t.Prog.source ctx b)
+            ?trace ?sanitize ~source:t.Prog.source ctx b)
     t.Prog.items

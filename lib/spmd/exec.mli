@@ -1,8 +1,12 @@
 (** Functional execution of SPMD programs.
 
-    Each replicated block runs as [shards] cooperative shard streams driven
-    by a scheduler: round-robin, seeded-random (adversarial interleavings
-    for the equivalence tests), or real OCaml domains. Synchronisation —
+    Each replicated block runs as [shards] shard streams, every one of
+    them interpreted by the same resumable shard machine ({!step}) over a
+    synchronisation substrate ({!sync}). A scheduler drives the streams:
+    round-robin or seeded-random stepping (adversarial interleavings for
+    the equivalence tests) over the cooperative substrate, or one OCaml
+    domain per shard over the monitor substrate; lib/net drives the same
+    machine over the wire. Synchronisation —
     write-after-read credits and read-after-write tokens per copy pair
     (§3.4), global barriers, and the dynamic collective for scalar
     reductions (§4.4) — is honoured exactly; a schedule in which every
@@ -68,20 +72,121 @@ val shard_tid : int -> int
 (** Trace tid of a shard's per-shard track (tids 0..9 are reserved for
     driver and compile-pipeline spans). *)
 
-val partitions_used : Ir.Program.t -> Prog.block -> (string * Regions.Partition.t) list
-(** Partitions mentioned anywhere in a block (launches, copies, fills)
-    — the set that needs per-(partition, color) instances (§3.1).
-    Exposed for alternative backends (lib/net) so they allocate exactly
-    the instances this executor would. *)
+(** {1 The shard machine}
 
-val fields_used_of_partition :
-  Ir.Program.t -> Prog.block -> string -> Regions.Field.t list
-(** Union of fields the block touches on the named partition — the
-    instance width companion to {!partitions_used}. *)
+    One interpreter of the shard instruction stream, shared by every
+    backend. It runs over a {!sync} substrate that owns only what differs
+    between backends: the shared-memory one (cooperative round-robin and
+    random stepping, or OCaml domains under a monitor) lives here, the
+    wire one in lib/net. *)
 
-val instr_label : Prog.instr -> string
-(** Deterministic span label for an instruction — a function of the
-    instruction only, never of scheduling. *)
+type state
+(** One replicated block's runtime: the per-(partition, color) instances,
+    the dynamic intersection pairs (§3.3), the copy-plan memo and the
+    instruments (stats, fault injector, trace, sanitizer). *)
+
+val create_state :
+  ?stats:stats ->
+  ?fault:Resilience.Fault.t ->
+  ?ckpt_sink:(Resilience.Checkpoint.t -> unit) ->
+  ?trace:Obs.Trace.t ->
+  ?san:Sanitizer.t ->
+  ?pool:bool ->
+  source:Ir.Program.t ->
+  Interp.Run.context ->
+  Prog.block ->
+  state
+(** Allocate the block's instances and compute its intersection pairs.
+    [pool] (default [false]) lets big analyses fan out over the shared
+    {!Taskpool.Pool}; a process that forks afterwards must leave it
+    off. *)
+
+val init : state -> unit
+(** Run the block's initialization instructions sequentially. *)
+
+val instance : state -> string -> int -> Regions.Physical.t
+val pairs : state -> int -> Intersections.pairs
+val owner : state -> string -> int -> int
+(** Shard owning a color of the named partition. *)
+
+val master_copy : state -> Prog.copy -> unit
+(** Sequential, unsynchronised execution of an init/finalize copy. *)
+
+val copy_plan :
+  state ->
+  cid:int ->
+  i:int ->
+  j:int ->
+  ?space:Regions.Index_space.t ->
+  fields:Regions.Field.t list ->
+  src:Regions.Physical.t ->
+  dst:Regions.Physical.t ->
+  unit ->
+  Copy_plan.t
+(** The memoized plan of copy [cid]'s [(i, j)] move ([-1] = a root
+    region), counted as one replay. *)
+
+type pair = int * int * Regions.Index_space.t
+(** [(src color, dst color, intersection)] of one copy. *)
+
+type rendezvous =
+  | Barrier
+  | Checkpoint of (unit -> unit)
+      (** the checkpoint barrier; the last arriver takes the cut *)
+  | Collective of {
+      instr : Prog.instr;
+      var : string;
+      op : Regions.Privilege.redop;
+    }
+
+type sync = {
+  take_credits : Prog.copy -> pair list -> bool;
+      (** take one write-after-read credit for every owned source pair, or
+          none and return [false] *)
+  put : Prog.copy -> pair -> release:(unit -> unit) -> unit;
+      (** move one owned pair's data and publish its read-after-write
+          token, calling [release] (the sanitizer release) before the
+          token becomes visible *)
+  take : Prog.copy -> pair list -> acquired:(unit -> unit) -> bool;
+      (** consume one token for every owned destination pair, or none and
+          return [false]; after [acquired], apply staged or received
+          payloads in ascending source color *)
+  grant : Prog.copy -> pair list -> unit;
+      (** give the owned destination pairs' credits back *)
+  can_join : int -> rendezvous -> bool;
+      (** whether shard [sid] may arrive (a collective's previous round
+          must have drained) *)
+  join : int -> rendezvous -> (int * float) list -> int;
+      (** arrive with per-color contributions; returns the handle *)
+  poll : int -> rendezvous -> int -> float option;
+      (** the rendezvous' result once complete; called until it returns
+          one *)
+  threaded : bool;
+      (** shards run on their own threads: injected delays sleep, and
+          trace spans run from the first attempt *)
+  chan : int * int * int -> int * int;
+      (** diagnostics: [(war, raw)] of a [(copy_id, i, j)] channel *)
+  meet_diag : rendezvous -> int option -> Resilience.Diag.wait;
+      (** diagnostics: the rendezvous' state, given this shard's handle *)
+}
+
+type shard
+
+val shard : state -> sid:int -> Ir.Eval.env -> shard
+(** A shard at the start of the block's body, with its own scalar
+    environment. *)
+
+val shard_env : shard -> Ir.Eval.env
+
+val step :
+  state -> sync -> shard -> [ `Progress | `Blocked | `Stalled | `Done ]
+(** Execute (or block on) the shard's current instruction. [`Blocked]
+    means it waits on another shard; [`Stalled] that it sits out an
+    injected delay and will move without further events. *)
+
+val shard_diag : state -> sync -> shard -> Resilience.Diag.shard
+(** The shard's row of a stall report: its current instruction and what
+    it waits on. *)
 
 val run :
   ?sched:sched ->
@@ -91,7 +196,6 @@ val run :
   ?checkpoint_sink:(Resilience.Checkpoint.t -> unit) ->
   ?restore:Resilience.Checkpoint.t ->
   ?trace:Obs.Trace.t ->
-  ?data_plane:[ `Plans | `Scalar ] ->
   ?sanitize:bool ->
   Prog.t ->
   Interp.Run.context ->
@@ -121,14 +225,6 @@ val run :
     finalize spans on tid 0. The per-tid (phase, name) event sequences are
     identical across all three schedulers.
 
-    [data_plane] selects how copies move bytes: [`Plans] (default)
-    compiles each copy's intersection into (src_off, dst_off, len) runs on
-    first execution and replays them with [Array.blit] / fused reduction
-    loops ({!Copy_plan}), memoized per (copy, src color, dst color, role)
-    and shared by all schedulers; [`Scalar] is the per-element ablation
-    baseline ({!Physical.copy_into}/{!Physical.reduce_into}). Results are
-    bitwise identical either way.
-
     [sanitize] (default [false]) arms the dynamic race detector
     ({!Sanitizer}): every instruction reports its declared per-element
     footprint and every synchronisation primitive its happens-before
@@ -145,7 +241,6 @@ val run_block :
   ?checkpoint_sink:(Resilience.Checkpoint.t -> unit) ->
   ?restore:Resilience.Checkpoint.t ->
   ?trace:Obs.Trace.t ->
-  ?data_plane:[ `Plans | `Scalar ] ->
   ?sanitize:bool ->
   source:Ir.Program.t ->
   Interp.Run.context ->

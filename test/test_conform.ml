@@ -77,7 +77,7 @@ let test_generator_eligible () =
 (* ---------- oracle ---------- *)
 
 let test_oracle_smoke () =
-  (* Every configuration (3 schedulers x 2 data planes, sanitizer armed)
+  (* Every configuration (3 schedulers + net loopback, sanitizer armed)
      must reproduce the implicit semantics bitwise on these seeds. *)
   for seed = 0 to 7 do
     match Oracle.check ~shards:(Fuzz.shards_of_case seed) (Gen.spec seed) with

@@ -1,6 +1,7 @@
 (* Tests for the fast data plane: copy plans vs the per-element baseline
-   (bitwise, on random sparse/aliased/non-covering index sets and through
-   whole random programs under all three schedulers), O(1) instance
+   (bitwise, on random sparse/aliased/non-covering index sets), whole
+   random programs under all three schedulers vs the sequential
+   interpreter, O(1) instance
    addressing (including the no-per-access-allocation regression for the
    binary-search mode), the bulk accessor closures' privilege and view
    containment checks, and the partition-pair intersection cache. *)
@@ -88,12 +89,12 @@ let test_plan_structured_halo () =
   check Alcotest.int "volume" 64 (Spmd.Copy_plan.volume plan);
   check Alcotest.int "fused runs" 1 (Spmd.Copy_plan.nruns plan)
 
-(* Whole-program equivalence: every scheduler, plans vs the per-element
-   ablation vs the sequential interpreter, on conformance-generated
+(* Whole-program equivalence: every scheduler's plan-replayed copies vs
+   the sequential interpreter, on conformance-generated
    programs (sparse/aliased partitions, ghost exchanges, reductions).
    Snapshot every root region and all scalars — field identities are
    minted fresh per build, so key on names. *)
-let prop_plans_match_scalar =
+let prop_plans_match_sequential =
   let snapshot ctx =
     ( List.sort compare (Interp.Run.scalars ctx),
       List.map
@@ -105,18 +106,18 @@ let prop_plans_match_scalar =
                  (Physical.fields inst)) ))
         (Interp.Run.root_instances ctx) )
   in
-  qtest "Plans = Scalar = sequential under all schedulers" ~count:20
+  qtest "Plans = sequential under all schedulers" ~count:20
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
       let spec = Conform.Gen.spec seed in
-      let spmd data_plane sched =
+      let spmd sched =
         let compiled =
           Cr.Pipeline.compile
             (Cr.Pipeline.default ~shards:3)
             (Conform.Gen.build spec)
         in
         let ctx = Interp.Run.create compiled.Spmd.Prog.source in
-        Spmd.Exec.run ~sched ~data_plane compiled ctx;
+        Spmd.Exec.run ~sched compiled ctx;
         snapshot ctx
       in
       let reference =
@@ -126,32 +127,25 @@ let prop_plans_match_scalar =
       in
       let agrees st = compare st reference = 0 in
       List.for_all
-        (fun sched -> agrees (spmd `Plans sched) && agrees (spmd `Scalar sched))
-        [ `Round_robin; `Random (seed land 0xff) ]
-      && agrees (spmd `Plans `Domains))
+        (fun sched -> agrees (spmd sched))
+        [ `Round_robin; `Random (seed land 0xff); `Domains ])
 
 let test_plan_stats () =
-  let run data_plane =
+  let stats =
     let prog = Test_fixtures.Fixtures.fig2 () in
     let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards:2) prog in
     let ctx = Interp.Run.create compiled.Spmd.Prog.source in
     let stats = Spmd.Exec.fresh_stats () in
-    Spmd.Exec.run ~stats ~data_plane compiled ctx;
+    Spmd.Exec.run ~stats compiled ctx;
     stats
   in
-  let p = run `Plans in
-  let builds = Atomic.get p.Spmd.Exec.plan_builds
-  and replays = Atomic.get p.Spmd.Exec.plan_replays
-  and volume = Atomic.get p.Spmd.Exec.blit_volume in
+  let builds = Atomic.get stats.Spmd.Exec.plan_builds
+  and replays = Atomic.get stats.Spmd.Exec.plan_replays
+  and volume = Atomic.get stats.Spmd.Exec.blit_volume in
   check Alcotest.bool "plans compiled" true (builds > 0);
   (* The time loop re-executes each copy against its memoized plan. *)
   check Alcotest.bool "replays exceed builds" true (replays > builds);
-  check Alcotest.bool "blit volume counted" true (volume > 0);
-  let s = run `Scalar in
-  check Alcotest.int "scalar ablation builds nothing" 0
-    (Atomic.get s.Spmd.Exec.plan_builds);
-  check Alcotest.int "scalar ablation replays nothing" 0
-    (Atomic.get s.Spmd.Exec.plan_replays)
+  check Alcotest.bool "blit volume counted" true (volume > 0)
 
 (* ---------- O(1) addressing ---------- *)
 
@@ -402,7 +396,7 @@ let () =
         [
           prop_plan_matches_transfer;
           Alcotest.test_case "structured halo" `Quick test_plan_structured_halo;
-          prop_plans_match_scalar;
+          prop_plans_match_sequential;
           Alcotest.test_case "executor plan stats" `Quick test_plan_stats;
         ] );
       ( "addressing",

@@ -136,8 +136,7 @@ let prop_loopback_matches_plans =
         let prog = Conform.Gen.build spec in
         let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards) prog in
         let ctx = Interp.Run.create compiled.Spmd.Prog.source in
-        Spmd.Exec.run ~sched:`Round_robin ~data_plane:`Plans ~sanitize:true
-          compiled ctx;
+        Spmd.Exec.run ~sched:`Round_robin ~sanitize:true compiled ctx;
         Launch.snapshot_state ctx
       in
       let via_loopback =

@@ -1,8 +1,8 @@
 (* Regression test for the seed-951 miscompile hunt (formerly
    tools/repro951.ml and repro951b.ml): a 7-shard compile of the
    fixture's random program must reproduce the sequential interpreter
-   bitwise under every scheduler, both data planes' default, and the
-   distributed loopback backend. The seed is kept because it once
+   bitwise under every scheduler and the distributed loopback
+   backend. The seed is kept because it once
    exposed a scheduler-dependent divergence; the domains scheduler runs
    several trials since its interleaving varies. *)
 

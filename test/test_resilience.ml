@@ -123,9 +123,21 @@ let missing_release_body =
 let run_tiny ?watchdog ~sched body ~credits =
   let prog = tiny_env () in
   let ctx = Interp.Run.create prog in
-  Spmd.Exec.run_block ~sched ?watchdog ~source:prog ctx (tiny_block body ~credits)
+  match sched with
+  | `Loopback ->
+      (* The same block as a one-block program, every shard a rank over
+         the wire substrate. *)
+      Net.Launch.run_loopback
+        {
+          Spmd.Prog.source = prog;
+          items = [ Spmd.Prog.Replicated (tiny_block body ~credits) ];
+        }
+        ctx
+  | #Spmd.Exec.sched as sched ->
+      Spmd.Exec.run_block ~sched ?watchdog ~source:prog ctx
+        (tiny_block body ~credits)
 
-(* ---------- satellite (c): deadlock diagnostics, all three scheds ------- *)
+(* ---------- deadlock diagnostics: all three scheds and the wire -------- *)
 
 let test_deadlock_diag sched () =
   match run_tiny ~sched ~watchdog:1.0 missing_release_body ~credits:[] with
@@ -417,6 +429,21 @@ let test_watchdog_ignores_progress () =
   Resilience.Watchdog.stop dog2;
   check Alcotest.bool "no trip while running" false (Atomic.get tripped2)
 
+(* Stopping the dog must not wait out its poll interval: every domains run
+   ends with a stop. *)
+let test_watchdog_stops_promptly () =
+  let dog =
+    Resilience.Watchdog.start ~poll:0.5 ~timeout:60.
+      ~observe:(fun () -> `Running 0)
+      ~trip:(fun () -> Alcotest.fail "tripped")
+      ()
+  in
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  Resilience.Watchdog.stop dog;
+  let dt = Unix.gettimeofday () -. t0 in
+  check Alcotest.bool (Printf.sprintf "stop took %.3fs" dt) true (dt < 0.1)
+
 (* ---------- satellites (a) + (b): task-pool fixes ------------------------ *)
 
 exception Boom of int
@@ -522,6 +549,8 @@ let () =
           Alcotest.test_case "random" `Quick (test_deadlock_diag (`Random 5));
           Alcotest.test_case "domains (watchdog)" `Quick
             (test_deadlock_diag `Domains);
+          Alcotest.test_case "net loopback" `Quick
+            (test_deadlock_diag `Loopback);
           Alcotest.test_case "stall is not deadlock" `Quick
             test_stall_is_not_deadlock;
         ] );
@@ -551,6 +580,8 @@ let () =
             test_watchdog_trips_on_quiescence;
           Alcotest.test_case "ignores progress" `Quick
             test_watchdog_ignores_progress;
+          Alcotest.test_case "stops promptly" `Quick
+            test_watchdog_stops_promptly;
         ] );
       ( "taskpool",
         [

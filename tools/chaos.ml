@@ -5,10 +5,7 @@
    (rolled back and retried), delayed releases and shard stalls must all
    be invisible in the results. A run whose fault schedule exhausts a
    retry cap is counted as "killed" (the expected outcome, not a bug);
-   a Deadlock or a result mismatch is a bug. Runs alternate the executor's
-   data plane between compiled copy plans and the per-element ablation, so
-   rollback snapshots and restored write sets are soaked against blit
-   copies too.
+   a Deadlock or a result mismatch is a bug.
 
      dune exec tools/chaos.exe -- [seconds] [start-seed]
 
@@ -96,10 +93,8 @@ let () =
                     Resilience.Fault.create ~policy ~seed:(s lxor 0x5EED) ()
                   in
                   incr runs;
-                  let data_plane = if !runs land 1 = 0 then `Plans else `Scalar in
                   match
-                    Spmd.Exec.run ~sched ~fault ~watchdog:10. ~data_plane
-                      compiled ctx2
+                    Spmd.Exec.run ~sched ~fault ~watchdog:10. compiled ctx2
                   with
                   | () ->
                       faults := !faults + Resilience.Fault.injected fault;
@@ -109,11 +104,8 @@ let () =
                       in
                       if got <> want then begin
                         incr bad;
-                        Obs.Log.err "MISMATCH seed=%d shards=%d policy=%s plane=%s"
-                          s shards pname
-                          (match data_plane with
-                          | `Plans -> "plans"
-                          | `Scalar -> "scalar")
+                        Obs.Log.err "MISMATCH seed=%d shards=%d policy=%s" s
+                          shards pname
                       end
                   | exception Resilience.Fault.Injected _ ->
                       (* The schedule exhausted a retry cap: a legitimate
