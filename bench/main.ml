@@ -10,20 +10,17 @@
    - Ablations: §3.2 copy placement, §3.3 intersection optimization, §3.4
      barrier vs point-to-point synchronisation, §4.5 hierarchical region
      trees.
-   - A Bechamel microbenchmark suite with one test per figure/table.
-
    - §Data plane (PR3): compiled copy plans vs the per-element baseline,
      bulk accessor kernels vs per-element get/set, and the partition-pair
      intersection cache, cold vs cached.
 
-   Pass --fast to sweep fewer node counts, --no-bechamel to skip the
-   microbenchmarks, --quick to run only the data-plane section (CI smoke:
-   writes the artifact, then schema-checks it and exits non-zero on
-   failure), --out PATH to redirect the JSON artifact. *)
+   Pass --fast to sweep fewer node counts, --quick to run only the
+   data-plane section (CI smoke: writes the artifact, then schema-checks
+   it and exits non-zero on failure), --out PATH to redirect the JSON
+   artifact. *)
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 let fast = quick || Array.exists (( = ) "--fast") Sys.argv
-let no_bechamel = Array.exists (( = ) "--no-bechamel") Sys.argv
 
 let json_path =
   let rec find i =
@@ -804,65 +801,6 @@ let data_plane () =
             ] );
       ]
 
-(* ---------- Bechamel microbenchmarks ---------- *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let open Toolkit in
-  header "Bechamel microbenchmarks (one per figure/table)";
-  let stencil16 = Apps.Stencil.program (Apps.Stencil.default ~nodes:16) in
-  let circuit16 = Apps.Circuit.program (Apps.Circuit.sim_config ~nodes:16) in
-  let aero4 = Apps.Miniaero.program (Apps.Miniaero.sim_config ~nodes:4) in
-  let pennant16 = Apps.Pennant.program (Apps.Pennant.sim_config ~nodes:16) in
-  let compiled16 = Cr.Pipeline.compile (Cr.Pipeline.default ~shards:16) stencil16 in
-  let machine16 = Realm.Machine.make ~nodes:16 () in
-  let circuit_src =
-    (Cr.Pipeline.compile (Cr.Pipeline.default ~shards:16) circuit16)
-      .Spmd.Prog.source
-  in
-  let shr = Ir.Program.find_partition circuit_src "shr"
-  and ghost = Ir.Program.find_partition circuit_src "ghost" in
-  let tests =
-    [
-      Test.make ~name:"fig6:stencil-cr-sim-16nodes"
-        (Staged.stage (fun () ->
-             Legion.Sim_spmd.simulate ~machine:machine16 ~steps:4 compiled16));
-      Test.make ~name:"fig7:miniaero-compile-4nodes"
-        (Staged.stage (fun () ->
-             Cr.Pipeline.compile (Cr.Pipeline.default ~shards:4) aero4));
-      Test.make ~name:"fig8:pennant-compile-16nodes"
-        (Staged.stage (fun () ->
-             Cr.Pipeline.compile (Cr.Pipeline.default ~shards:16) pennant16));
-      Test.make ~name:"fig9:circuit-compile-16nodes"
-        (Staged.stage (fun () ->
-             Cr.Pipeline.compile (Cr.Pipeline.default ~shards:16) circuit16));
-      Test.make ~name:"table1:circuit-intersections"
-        (Staged.stage (fun () -> Spmd.Intersections.compute ~src:shr ~dst:ghost ()));
-      Test.make ~name:"table1:circuit-all-pairs"
-        (Staged.stage (fun () ->
-             Spmd.Intersections.compute_all_pairs ~src:shr ~dst:ghost ()));
-    ]
-  in
-  let benchmark test =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~stabilize:false ()
-    in
-    let raw = Benchmark.all cfg instances test in
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    Hashtbl.iter
-      (fun name ols_result ->
-        match Analyze.OLS.estimates ols_result with
-        | Some [ est ] ->
-            Printf.printf "%40s  %12.3f ms/run\n%!" name (est /. 1e6)
-        | _ -> Printf.printf "%40s  (no estimate)\n%!" name)
-      results
-  in
-  benchmark (Test.make_grouped ~name:"bench" tests)
-
 (* ---------- machine-readable artifact ---------- *)
 
 let write_json () =
@@ -955,7 +893,6 @@ let () =
     resilience_overhead ()
   end;
   data_plane ();
-  if not (quick || no_bechamel) then bechamel_suite ();
   write_json ();
   self_check ();
   Printf.printf "\nAll experiments complete.\n"

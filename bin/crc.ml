@@ -364,10 +364,11 @@ let fuzz seed count max_tasks mutate shards no_net out replay =
       match report.Conform.Fuzz.repro with
       | None ->
           Printf.printf
-            "fuzz: %d case(s) passed (seed %d, all schedulers%s, sanitizer \
-             armed)\n"
+            "fuzz: %d case(s) passed (seed %d, all schedulers%s + faults \
+             %s x every scheduler, sanitizer armed)\n"
             report.Conform.Fuzz.tested seed
             (if no_net then "" else " + net loopback")
+            (String.concat "/" (List.map fst Conform.Oracle.fault_policies))
       | Some (r, path) ->
           Format.printf "fuzz: case failed after %d test(s): %a@."
             report.Conform.Fuzz.tested Conform.Oracle.pp_failure
@@ -424,17 +425,25 @@ let fuzz_cmd =
       & info [ "replay" ] ~docv:"FILE"
           ~doc:"Re-run a saved repro file instead of fuzzing.")
   in
+  let shards =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "shards" ] ~docv:"S"
+          ~doc:"Shard count for every case (default: cycles 2, 3, 4 by case).")
+  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:
          "Differential conformance fuzzing: random well-privileged programs \
           run through the implicit interpreter and through the full \
           compile+SPMD pipeline under every scheduler (plus \
-          the distributed loopback backend) with the race sanitizer armed; \
-          failures are auto-shrunk to a replayable repro file.")
+          the distributed loopback backend, and every scheduler again under \
+          each fault policy: leaf, delays, mixed) with the race sanitizer \
+          armed; failures are auto-shrunk to a replayable repro file.")
     Term.(
-      const fuzz $ seed $ count $ max_tasks $ mutate $ shards_arg $ no_net
-      $ out $ replay)
+      const fuzz $ seed $ count $ max_tasks $ mutate $ shards $ no_net $ out
+      $ replay)
 
 (* ---------- launch ---------- *)
 

@@ -9,38 +9,20 @@ type report = {
 
 let shards_of_case i = 2 + (i mod 3)
 
-let sched_of_config config =
-  match String.index_opt config '/' with
-  | None -> None
-  | Some k ->
-      let sname = String.sub config 0 k in
-      List.find_opt (fun (n, _) -> n = sname) Oracle.all_scheds
-
-(* Shrink against the configuration that failed, with a short watchdog:
-   deadlock-kind failures re-run on every candidate, and the sanitizer
-   catches dropped syncs long before a 60 s stall would. A [net/loopback]
-   failure shrinks on the loopback backend alone (no executor configs);
-   any other config shrinks with the net column off. *)
-let shrink_failure ~shards ~mutate (f : Oracle.failure) spec =
-  let scheds, net =
-    if f.Oracle.config = "net/loopback" then ([], true)
-    else
-      ( (match sched_of_config f.Oracle.config with
-        | Some s -> [ s ]
-        | None -> Oracle.stepper_scheds),
-        false )
-  in
+(* Shrink against the configuration that failed, alone, with a short
+   watchdog: deadlock-kind failures re-run on every candidate, and the
+   sanitizer catches dropped syncs long before a 60 s stall would. *)
+let shrink ~shards ~mutate (f : Oracle.failure) spec =
+  let recheck = Oracle.check_config ~shards ~mutate ~watchdog:2. f.Oracle.config in
   let still_fails candidate =
-    match Oracle.check ~shards ?mutate ~scheds ~watchdog:2. ~net candidate with
+    match recheck candidate with
     | Some f' -> f'.Oracle.kind = f.Oracle.kind
     | None -> false
     | exception _ -> false
   in
   let shrunk = Shrink.run still_fails spec in
   let failure =
-    match Oracle.check ~shards ?mutate ~scheds ~watchdog:2. ~net shrunk with
-    | Some f' -> f'
-    | None | (exception _) -> f
+    match recheck shrunk with Some f' -> f' | None | (exception _) -> f
   in
   (shrunk, failure)
 
@@ -69,7 +51,7 @@ let campaign ?(out = "fuzz-repro.json") ?max_tasks ?mutate ?shards ?net
           log
             (Printf.sprintf "shrinking (initial size %d)..."
                (Spec.size spec));
-          let shrunk, failure = shrink_failure ~shards:nshards ~mutate f spec in
+          let shrunk, failure = shrink ~shards:nshards ~mutate f spec in
           log
             (Printf.sprintf "shrunk to size %d (%d tasks)" (Spec.size shrunk)
                (Spec.task_count shrunk));

@@ -2,7 +2,7 @@
 
     Cases are generated seed-deterministically ([seed + i] for case [i],
     shard count cycling 2–4), checked with the differential oracle
-    (sanitizer armed, all schedulers), and on the
+    (sanitizer armed, every column), and on the
     first failure shrunk to a minimal spec written as a replayable repro
     file. *)
 
@@ -14,6 +14,17 @@ type report = {
 
 val shards_of_case : int -> int
 (** Shard count of case [i]: cycles 2, 3, 4. *)
+
+val shrink :
+  shards:int ->
+  mutate:int option ->
+  Oracle.failure ->
+  Spec.t ->
+  Spec.t * Oracle.failure
+(** [shrink ~shards ~mutate f spec] minimises [spec] against the one
+    configuration [f] names ({!Oracle.check_config}), keeping candidates
+    that fail there with [f]'s kind; returns the minimum and its
+    failure. *)
 
 val campaign :
   ?out:string ->

@@ -26,7 +26,7 @@ let other_field = function "w" -> "v" | _ -> "w"
 let spec ?(max_tasks = 8) seed =
   let st = Random.State.make [| 0xC04F02; seed |] in
   let int n = Random.State.int st n in
-  let nt = 2 + int 3 in
+  let nt = 2 + int 4 in
   let steps = 1 + int 3 in
   let nregions = 1 + int 2 in
   let mk_space () =
@@ -45,12 +45,16 @@ let spec ?(max_tasks = 8) seed =
   let structured rn =
     match List.assoc rn regions with Spec.Grid _ -> true | _ -> false
   in
-  (* Base (disjoint) partitions: one block per region, plus sometimes a
-     grid tiling or a modular coloring. *)
+  (* Base (disjoint) partitions: one block per region, sometimes a second
+     identical block (two disjoint partitions of the same data still
+     may-alias, so copies run between fully overlapping replicas), and
+     sometimes a grid tiling or a modular coloring. *)
   let base = ref [] in
   List.iter
     (fun (rn, sp) ->
       base := { Spec.pname = "Pb" ^ rn; preg = rn; pspec = Spec.Pblock } :: !base;
+      if int 3 = 0 then
+        base := { Spec.pname = "Pd" ^ rn; preg = rn; pspec = Spec.Pblock } :: !base;
       if int 2 = 0 then begin
         let extra =
           if structured rn then begin

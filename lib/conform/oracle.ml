@@ -1,11 +1,11 @@
 (* The differential oracle: one spec, run once under the implicit
    shared-memory semantics (the reference) and once per executor
-   configuration — every scheduler and the net loopback backend, race
-   sanitizer armed — asserting bitwise-equal final region contents and
-   scalars. Each configuration rebuilds the program from the spec: the
-   compile pipeline and the executors mutate derived state (partition ids,
-   physical instances), so sharing one build across runs would alias
-   results. *)
+   configuration — every scheduler, the net loopback backend, and every
+   scheduler again under each fault policy, race sanitizer armed —
+   asserting bitwise-equal final region contents and scalars. Each
+   configuration rebuilds the program from the spec: the compile pipeline
+   and the executors mutate derived state (partition ids, physical
+   instances), so sharing one build across runs would alias results. *)
 
 type kind = Mismatch | Race | Deadlock | Crash
 
@@ -100,15 +100,55 @@ let first_diff (exp_s, exp_r) (got_s, got_r) =
       | Some d -> d
       | None -> "states differ (structure)")
 
+let same_state a b = compare a b = 0
+
 let stepper_scheds = [ ("round_robin", `Round_robin); ("random", `Random 1) ]
 let all_scheds = stepper_scheds @ [ ("domains", `Domains) ]
 
+(* Transient leaf failures (rolled back and retried), delayed credit
+   grants and shard stalls — each must be invisible in the results. *)
+let fault_policies =
+  let mk ~leaf ~delays =
+    {
+      Resilience.Fault.leaf_fail_rate = (if leaf then 0.1 else 0.);
+      leaf_retries = 6;
+      release_delay_rate = (if delays then 0.05 else 0.);
+      release_delay_steps = 2;
+      stall_rate = (if delays then 0.05 else 0.);
+      stall_steps = 2;
+      net_fail_rate = 0.;
+      net_retries = 0;
+      delay_seconds = 0.0005;
+      max_faults = 1_000_000;
+    }
+  in
+  [
+    ("leaf", mk ~leaf:true ~delays:false);
+    ("delays", mk ~leaf:false ~delays:true);
+    ("mixed", mk ~leaf:true ~delays:true);
+  ]
+
+(* The fault schedule is a pure function of the spec, so a repro file
+   replays a fault-column failure exactly. *)
+let fault_seed spec = Hashtbl.hash (Obs.Json.to_string (Spec.to_json spec))
+
+let columns ~scheds ~net =
+  List.map (fun (name, sched) -> (name, `Exec sched)) scheds
+  @ (if net then [ ("net/loopback", `Net) ] else [])
+  @ List.concat_map
+      (fun (pname, policy) ->
+        List.map
+          (fun (name, sched) ->
+            ("faults/" ^ pname ^ "/" ^ name, `Faults (policy, sched)))
+          scheds)
+      fault_policies
+
 (* Run the compiled program under one configuration and snapshot: a
-   scheduler of the shared-memory executor, or the message-passing
-   backend's column — every shard a simulated rank over
-   [Net.Launch.run_loopback], copies and credits as wire frames,
-   collectives over the tree (deadlock detection is exact under loopback,
-   so it needs no watchdog). *)
+   scheduler of the shared-memory executor, the same with the fault
+   injector armed, or the message-passing backend's column — every shard
+   a simulated rank over [Net.Launch.run_loopback], copies and credits as
+   wire frames, collectives over the tree (deadlock detection is exact
+   under loopback, so it needs no watchdog). *)
 let run_config ~shards ~backend ~watchdog ?mutate spec =
   let prog = Gen.build spec in
   let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards) prog in
@@ -122,20 +162,19 @@ let run_config ~shards ~backend ~watchdog ?mutate spec =
   in
   (match backend with
   | `Exec sched -> Spmd.Exec.run ~sched ~sanitize:true ~watchdog compiled ctx
-  | `Net -> Net.Launch.run_loopback ~sanitize:true compiled ctx);
+  | `Net -> Net.Launch.run_loopback ~sanitize:true compiled ctx
+  | `Faults (policy, sched) ->
+      let fault = Resilience.Fault.create ~policy ~seed:(fault_seed spec) () in
+      Spmd.Exec.run ~sched ~fault ~sanitize:true ~watchdog compiled ctx);
   snapshot ctx
 
-(* Differential check: [None] when every configuration matches the
-   reference, the first failure otherwise. With [?mutate], the named sync
-   op is dropped from each compiled program before execution — a passing
-   result then means the harness failed its negative control.
-
-   [scheds] defaults to all three schedulers; mutation tests that want
-   deterministic failure modes can restrict to the stepper ones. [net]
-   appends the [net/loopback] column: the same program once more through
-   the distributed backend's deterministic loopback driver. *)
-let check ?(shards = 3) ?mutate ?(scheds = all_scheds) ?(watchdog = 10.)
-    ?(net = true) (spec : Spec.t) =
+(* Run the reference, then the columns in order; [None] when every column
+   matches the reference, the first failure otherwise. With [?mutate],
+   the named sync op is dropped from each compiled program before
+   execution — a passing result then means the harness failed its
+   negative control. A fault column whose schedule exhausts a retry cap
+   ([Fault.Injected]) passes: the run crashed as the policy allows. *)
+let run_columns ~shards ?mutate ~watchdog columns (spec : Spec.t) =
   let reference =
     try
       let prog = Gen.build spec in
@@ -148,23 +187,36 @@ let check ?(shards = 3) ?mutate ?(scheds = all_scheds) ?(watchdog = 10.)
   in
   match reference with
   | Error f -> Some f
-  | Ok expected -> (
-      let configs =
-        List.map (fun (name, sched) -> (name, `Exec sched)) scheds
-        @ if net then [ ("net/loopback", `Net) ] else []
-      in
+  | Ok expected ->
       List.fold_left
         (fun acc (config, backend) ->
           match acc with
           | Some _ -> acc
           | None -> (
               match run_config ~shards ~backend ~watchdog ?mutate spec with
-              | got when compare got expected = 0 -> None
+              | got when same_state got expected -> None
               | got -> Some { config; kind = Mismatch; detail = first_diff expected got }
+              | exception Resilience.Fault.Injected _ -> None
               | exception Spmd.Sanitizer.Race msg ->
                   Some { config; kind = Race; detail = msg }
               | exception Spmd.Exec.Deadlock d ->
                   Some { config; kind = Deadlock; detail = d.Resilience.Diag.reason }
               | exception e ->
                   Some { config; kind = Crash; detail = Printexc.to_string e }))
-        None configs)
+        None columns
+
+let check ?(shards = 3) ?mutate ?(scheds = all_scheds) ?(watchdog = 10.)
+    ?(net = true) spec =
+  run_columns ~shards ?mutate ~watchdog (columns ~scheds ~net) spec
+
+(* One named column alone (["reference"] runs no column at all) — what
+   the shrinker re-checks candidates against. *)
+let check_config ~shards ~mutate ~watchdog config spec =
+  let cols =
+    List.filter
+      (fun (name, _) -> name = config)
+      (columns ~scheds:all_scheds ~net:true)
+  in
+  if cols = [] && config <> "reference" then
+    invalid_arg ("Oracle.check_config: unknown config " ^ config);
+  run_columns ~shards ?mutate ~watchdog cols spec

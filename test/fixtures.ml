@@ -1,6 +1,5 @@
-(* Shared program fixtures for the control-replication tests: the paper's
-   Fig. 2 example and a family of random programs exercising aliased image
-   partitions, projections, region reductions and scalar reductions. *)
+(* Shared program fixture for the control-replication tests: the paper's
+   Fig. 2 example. Random programs come from [Conform.Gen]. *)
 
 open Regions
 open Ir
@@ -80,161 +79,5 @@ let fig2 ?(n = 16) ?(nt = 4) ?(timesteps = 3) () =
           Syn.forall "I" (Syn.call "TF" [ Syn.part "PB"; Syn.part "PA" ]);
           Syn.forall "I" (Syn.call "TG" [ Syn.part "PA"; Syn.part "QB" ]);
         ];
-    ];
-  Program.Builder.finish b
-
-(* ---------- random programs ---------- *)
-
-(* Build a deterministic random program from a seed. Structure:
-   - one or two root regions over an unstructured universe, fields {v,w};
-   - per region: a block partition (colors = launch space) and optionally
-     an aliased image partition;
-   - tasks: elementwise writers (write one partition, read another through
-     identity or rotated projection), reducers into possibly-aliased
-     partitions, and a scalar min-reducer;
-   - body: setup single launch, then a time loop of 2-4 statements. *)
-let random_program seed =
-  let st = Random.State.make [| 0xC0FFEE; seed |] in
-  let n = 12 + Random.State.int st 12 in
-  let nt = 2 + Random.State.int st 4 in
-  let steps = 1 + Random.State.int st 3 in
-  let b = Program.Builder.create ~name:(Printf.sprintf "rand%d" seed) in
-  let two_regions = Random.State.bool st in
-  let fields = [ fv; fw ] in
-  let ra = Program.Builder.region b ~name:"Ra" (Index_space.of_range n) fields in
-  let rb =
-    if two_regions then
-      Program.Builder.region b ~name:"Rb" (Index_space.of_range n) fields
-    else ra
-  in
-  Program.Builder.space b ~name:"I" nt;
-  Program.Builder.scalar b ~name:"dt" 1.0;
-  let pa =
-    Program.Builder.partition b ~name:"Pa" (fun ~name ->
-        Partition.block ~name ra ~pieces:nt)
-  in
-  (* With a single region this is a second, distinct block partition of the
-     same data — two identical disjoint partitions still may-alias, which
-     exercises the copy machinery on fully-overlapping replicas. *)
-  let pb =
-    Program.Builder.partition b ~name:"Pb" (fun ~name ->
-        Partition.block ~name rb ~pieces:nt)
-  in
-  let stride = 1 + Random.State.int st (n - 1) in
-  let ha e = (e * stride + 3) mod n in
-  let _qa =
-    Program.Builder.partition b ~name:"Qa" (fun ~name ->
-        Partition.image ~name ~target:ra ~src:pb (fun e -> [ ha e ]))
-  in
-  let stride2 = 1 + Random.State.int st (n - 1) in
-  let hb e = (e * stride2 + 1) mod n in
-  let _qb =
-    Program.Builder.partition b ~name:"Qb" (fun ~name ->
-        Partition.image ~name ~target:rb ~src:pa (fun e -> [ hb e ]))
-  in
-  (* Tasks. Control replication requires launch iterations to be
-     independent, so every task touches disjoint fields on its two
-     arguments: writers of [v] read [w] (and vice versa) through possibly
-     aliased halo partitions — exactly the Fig. 1 pattern where the two
-     loops access the data through different partitions. *)
-  let writer ~name ~wf ~rf ~h =
-    Task.make ~name
-      ~params:
-        [
-          { Task.pname = "out"; privs = [ Privilege.writes wf ] };
-          { Task.pname = "inp"; privs = [ Privilege.reads rf ] };
-        ]
-      ~nscalars:1
-      (fun accs sargs ->
-        let out = accs.(0) and inp = accs.(1) in
-        Accessor.iter out (fun id ->
-            let src = h id in
-            let x =
-              if Index_space.mem (Accessor.space inp) src then
-                Accessor.get inp rf src
-              else 0.
-            in
-            Accessor.set out wf id
-              ((Accessor.get out wf id *. 0.5) +. (x *. 0.25) +. sargs.(0)));
-        0.)
-  in
-  let reducer =
-    Task.make ~name:"reduce_into"
-      ~params:
-        [
-          { Task.pname = "dst"; privs = [ Privilege.reduces Privilege.Sum fv ] };
-          { Task.pname = "src"; privs = [ Privilege.reads fw ] };
-        ]
-      (fun accs _ ->
-        let dst = accs.(0) and src = accs.(1) in
-        Accessor.iter dst (fun id ->
-            let base =
-              Index_space.fold_ids
-                (fun acc j -> acc +. (Accessor.get src fw j *. 0.001))
-                0.
-                (Accessor.space src)
-            in
-            Accessor.reduce dst fv id (base +. (float_of_int id *. 0.01)));
-        0.)
-  in
-  let dt_task =
-    Task.make ~name:"dt_of"
-      ~params:[ { Task.pname = "x"; privs = [ Privilege.reads fv ] } ]
-      (fun accs _ ->
-        Index_space.fold_ids
-          (fun acc j -> Float.min acc (1. +. Float.abs (Accessor.get accs.(0) fv j)))
-          Float.infinity
-          (Accessor.space accs.(0)))
-  in
-  let setup =
-    Task.make ~name:"setup"
-      ~params:[ { Task.pname = "r"; privs = [ Privilege.writes fv; Privilege.writes fw ] } ]
-      (fun accs _ ->
-        Accessor.iter accs.(0) (fun id ->
-            Accessor.set accs.(0) fv id (float_of_int ((id * 7) mod 5) +. 0.5);
-            Accessor.set accs.(0) fw id (float_of_int ((id * 3) mod 4) -. 1.));
-        0.)
-  in
-  Program.Builder.task b (writer ~name:"Wid" ~wf:fv ~rf:fw ~h:(fun i -> i));
-  Program.Builder.task b (writer ~name:"Wha" ~wf:fv ~rf:fw ~h:ha);
-  Program.Builder.task b (writer ~name:"Whb" ~wf:fw ~rf:fv ~h:hb);
-  Program.Builder.task b reducer;
-  Program.Builder.task b dt_task;
-  Program.Builder.task b setup;
-  (* Random loop body. *)
-  let rot k i = (i + k) mod nt in
-  let pick_reader () =
-    match Random.State.int st 4 with
-    | 0 -> ("Wid", Syn.part "Qa")
-    | 1 -> ("Wha", Syn.part "Qa")
-    | 2 -> ("Whb", Syn.part "Qb")
-    | _ -> ("Wid", Syn.part_fn "Pb" "rot1" (rot 1))
-  in
-  let pick_writer_part () = if Random.State.bool st then "Pa" else "Pb" in
-  let nstmts = 2 + Random.State.int st 3 in
-  let stmts =
-    List.init nstmts (fun _ ->
-        match Random.State.int st 5 with
-        | 0 | 1 ->
-            let task, reader = pick_reader () in
-            Syn.forall "I"
-              (Syn.call task
-                 ~scalars:[ Syn.sv "dt" ]
-                 [ Syn.part (pick_writer_part ()); reader ])
-        | 2 ->
-            Syn.forall "I"
-              (Syn.call "reduce_into" [ Syn.part "Qa"; Syn.part "Pb" ])
-        | 3 ->
-            Syn.forall_reduce "I"
-              (Syn.call "dt_of" [ Syn.part "Pa" ])
-              ~into:"dt" Privilege.Min
-        | _ -> Syn.assign "dt" Syn.(sv "dt" *. !.0.9 +. !.0.05))
-  in
-  Program.Builder.body b
-    [
-      Syn.run (Syn.call "setup" [ Syn.whole "Ra" ]);
-      (if two_regions then Syn.run (Syn.call "setup" [ Syn.whole "Rb" ])
-       else Syn.assign "dt" Syn.(sv "dt" *. !.1.0));
-      Syn.for_time "t" steps stmts;
     ];
   Program.Builder.finish b

@@ -87,30 +87,25 @@ let test_oracle_smoke () =
           (Format.asprintf "%a" Oracle.pp_failure f)
   done
 
-(* A spec whose compiled form has sync ops to drop (a ghost copy chain) —
-   the raw material for the mutation tests. The time loop must run at
-   least twice: a Release dropped after a copy's *last* occurrence is
-   semantically harmless, so with [steps = 1] some drops are (correctly)
-   undetectable. *)
-let find_mutable_case () =
-  let rec go seed =
-    if seed > 200 then Alcotest.fail "no spec with sync ops found"
-    else
-      let spec = Gen.spec seed in
-      let prog = Gen.build spec in
-      let compiled =
-        Cr.Pipeline.compile (Cr.Pipeline.default ~shards:3) prog
-      in
-      if spec.Spec.steps >= 2 && Mutate.sync_count compiled > 0 then
-        (seed, spec, compiled)
-      else go (seed + 1)
+(* The raw material for the mutation tests: a spec whose compiled form is
+   a ghost copy chain with four sync ops, every one of them live, so each
+   single drop must be caught. The time loop runs twice: a Release dropped
+   after a copy's *last* occurrence is semantically harmless. The spec is
+   a literal, not a generator seed, because a generated spec may carry a
+   dead copy — one whose data is overwritten before any read — and no
+   observation can catch the loss of its Await. *)
+let mutable_case () =
+  let spec =
+    Spec.of_json
+      (Obs.Json.of_string_exn
+         {|{"name":"conform10","nt":3,"steps":2,"regions":[{"name":"Ra","space":{"kind":"dense","n":19}}],"parts":[{"name":"PbRa","region":"Ra","kind":"block"},{"name":"PcRa","region":"Ra","kind":"color","mul":6,"add":0},{"name":"QRa","region":"Ra","kind":"image","src":"PbRa","mul":8,"add":10,"width":1}],"tasks":[{"name":"t0","kind":"stencil","wf":"w","rf":"v"},{"name":"t1","kind":"writer","wf":"w","rf":"v","mul":4,"add":7,"modn":19},{"name":"t2","kind":"writer","wf":"w","rf":"v","mul":3,"add":9,"modn":19}],"body":[{"kind":"forall","task":"t0","out":"PcRa","inp":"QRa","inp_proj":1},{"kind":"forall","task":"t1","out":"PcRa","inp":"PbRa","inp_proj":0},{"kind":"forall","task":"t2","out":"PbRa","inp":"QRa","inp_proj":2}],"seq_if":false,"loop_if":false,"tail_assign":false}|})
   in
-  go 0
+  (spec, Cr.Pipeline.compile (Cr.Pipeline.default ~shards:3) (Gen.build spec))
 
 let test_mutation_caught () =
   (* Dropping any single sync op must be caught by the oracle (race,
      mismatch, or deadlock) under the deterministic stepper schedules. *)
-  let _, spec, compiled = find_mutable_case () in
+  let spec, compiled = mutable_case () in
   let n = Mutate.sync_count compiled in
   Alcotest.(check bool) "has sync ops" true (n > 0);
   for k = 0 to n - 1 do
@@ -128,7 +123,7 @@ let test_sanitizer_flags_dropped_await () =
      just a value mismatch): the race detector is an independent check of
      Cr.Sync, and happens-before detection means the deterministic
      round-robin schedule suffices. *)
-  let _, spec, compiled = find_mutable_case () in
+  let spec, compiled = mutable_case () in
   let n = Mutate.sync_count compiled in
   let kinds =
     List.init n (fun k ->
@@ -148,7 +143,14 @@ let test_shrinker_on_mutation () =
   (* End-to-end negative control: a campaign with a sync op dropped must
      fail, auto-shrink, and leave a replayable repro of <= 5 tasks that
      still fails with the same kind. *)
-  let seed, _, _ = find_mutable_case () in
+  (* The first generated spec with sync ops to drop. *)
+  let seed =
+    let has_syncs seed =
+      let prog = Gen.program seed in
+      Mutate.sync_count (Cr.Pipeline.compile (Cr.Pipeline.default ~shards:3) prog) > 0
+    in
+    Option.get (List.find_opt has_syncs (List.init 200 Fun.id))
+  in
   let out = Filename.temp_file "crc-fuzz-test" ".json" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
@@ -173,6 +175,39 @@ let test_shrinker_on_mutation () =
                 (Oracle.kind_to_string r.Repro.failure.Oracle.kind)
                 (Oracle.kind_to_string f'.Oracle.kind)
           | None -> Alcotest.fail "shrunk repro no longer fails"))
+
+let test_shrinker_keeps_config () =
+  (* A failure is shrunk against the configuration that reported it —
+     including [domains] and the fault columns, which the two stepper
+     schedulers do not stand in for. A domains run that fails waits out
+     the watchdog, so start from a case already minimised under
+     round-robin, where a dropped await fails as a race at once. *)
+  let spec, compiled = mutable_case () in
+  let race config k spec =
+    match
+      Oracle.check_config ~shards:3 ~mutate:(Some k) ~watchdog:2. config spec
+    with
+    | Some ({ Oracle.kind = Oracle.Race; _ } as f) -> Some f
+    | _ -> None
+  in
+  let k, f =
+    Option.get
+      (List.find_map
+         (fun k -> Option.map (fun f -> (k, f)) (race "round_robin" k spec))
+         (List.init (Mutate.sync_count compiled) Fun.id))
+  in
+  let small, _ = Fuzz.shrink ~shards:3 ~mutate:(Some k) f spec in
+  List.iter
+    (fun config ->
+      match race config k small with
+      | None -> Alcotest.failf "mutation %d is no race under %s" k config
+      | Some f ->
+          let _, f' = Fuzz.shrink ~shards:3 ~mutate:(Some k) f small in
+          Alcotest.(check string) "shrunk under the reported config" config
+            f'.Oracle.config;
+          Alcotest.(check string) "same kind" "race"
+            (Oracle.kind_to_string f'.Oracle.kind))
+    [ "domains"; "faults/mixed/random" ]
 
 let test_shrinker_strictly_decreases () =
   (* Candidate moves must strictly reduce the size measure or be filtered;
@@ -215,5 +250,7 @@ let () =
             test_shrinker_on_mutation;
           Alcotest.test_case "monotone" `Quick
             test_shrinker_strictly_decreases;
+          Alcotest.test_case "keeps the failing config" `Quick
+            test_shrinker_keeps_config;
         ] );
     ]

@@ -21,40 +21,19 @@ let run_spmd ?sched config prog =
   Spmd.Exec.run ?sched compiled ctx;
   (ctx, compiled)
 
-let region_data ctx prog =
-  List.concat_map
-    (fun rname ->
-      let r = Program.find_region prog rname in
-      let inst = Interp.Run.region_instance ctx r in
-      List.map
-        (fun f -> (rname, Field.name f, Physical.to_alist inst f))
-        r.Region.fields)
-    (Program.region_names prog)
-
-(* The two contexts come from two instantiations of the same fixture, whose
-   region objects differ; compare by (region name, field name, id, value). *)
-let same_results (prog_a, ctx_a) (prog_b, ctx_b) =
-  let a = region_data ctx_a prog_a and b = region_data ctx_b prog_b in
-  let scalars_equal =
-    List.for_all
-      (fun name -> Interp.Run.scalar ctx_a name = Interp.Run.scalar ctx_b name)
-      (Program.scalar_names prog_a)
-  in
-  a = b && scalars_equal
+(* Two instantiations of the same program build distinct region objects,
+   so compare final states keyed by region, field and scalar names. *)
+let equivalent ?sched config mkprog =
+  let seq_ctx = run_seq (mkprog ()) in
+  let spmd_ctx, _ = run_spmd ?sched config (mkprog ()) in
+  Conform.Oracle.(same_state (snapshot seq_ctx) (snapshot spmd_ctx))
 
 let equivalence_case name ?sched config mkprog =
   Alcotest.test_case name `Quick (fun () ->
-      let prog1 = mkprog () in
-      let seq_ctx = run_seq prog1 in
-      let prog2 = mkprog () in
-      let spmd_ctx, _ = run_spmd ?sched config prog2 in
       check Alcotest.bool
         (name ^ ": SPMD result equals sequential")
         true
-        (same_results (prog1, seq_ctx) (prog2, spmd_ctx)))
-
-(* Two instantiations of the same fixture build distinct region objects, so
-   compare by (region name, field, id, value) — which region_data does. *)
+        (equivalent ?sched config mkprog))
 
 (* ---------- golden structure tests on Fig. 2 ---------- *)
 
@@ -267,21 +246,14 @@ let random_equivalence =
          let* sched_seed = int_range 0 1000 in
          return (seed, shards, sched_seed))
        (fun (seed, shards, sched_seed) ->
-         let prog1 = Test_fixtures.Fixtures.random_program seed in
-         (match Check.check prog1 with
+         let mk () = Conform.Gen.program seed in
+         (match Check.check (mk ()) with
          | Ok () -> ()
          | Error es ->
              QCheck2.Test.fail_reportf "generated program ill-formed: %s"
                (String.concat "; "
                   (List.map (Format.asprintf "%a" Check.pp_error) es)));
-         let seq_ctx = run_seq prog1 in
-         let prog2 = Test_fixtures.Fixtures.random_program seed in
-         let spmd_ctx, _ =
-           run_spmd ~sched:(`Random sched_seed)
-             (Cr.Pipeline.default ~shards)
-             prog2
-         in
-         same_results (prog1, seq_ctx) (prog2, spmd_ctx)))
+         equivalent ~sched:(`Random sched_seed) (Cr.Pipeline.default ~shards) mk))
 
 let random_equivalence_domains =
   QCheck_alcotest.to_alcotest
@@ -290,13 +262,8 @@ let random_equivalence_domains =
        ~print:(fun seed -> Printf.sprintf "seed=%d" seed)
        QCheck2.Gen.(int_range 0 100000)
        (fun seed ->
-         let prog1 = Test_fixtures.Fixtures.random_program seed in
-         let seq_ctx = run_seq prog1 in
-         let prog2 = Test_fixtures.Fixtures.random_program seed in
-         let spmd_ctx, _ =
-           run_spmd ~sched:`Domains (Cr.Pipeline.default ~shards:4) prog2
-         in
-         same_results (prog1, seq_ctx) (prog2, spmd_ctx)))
+         equivalent ~sched:`Domains (Cr.Pipeline.default ~shards:4) (fun () ->
+             Conform.Gen.program seed)))
 
 let random_equivalence_configs =
   QCheck_alcotest.to_alcotest
@@ -322,11 +289,7 @@ let random_equivalence_configs =
              hierarchical = hier;
            }
          in
-         let prog1 = Test_fixtures.Fixtures.random_program seed in
-         let seq_ctx = run_seq prog1 in
-         let prog2 = Test_fixtures.Fixtures.random_program seed in
-         let spmd_ctx, _ = run_spmd config prog2 in
-         same_results (prog1, seq_ctx) (prog2, spmd_ctx)))
+         equivalent config (fun () -> Conform.Gen.program seed)))
 
 (* ---------- locality: multiple independent blocks ---------- *)
 
@@ -433,44 +396,49 @@ let test_two_blocks () =
       compiled.Spmd.Prog.items
   in
   check Alcotest.int "two independent replicated blocks" 2 (List.length blocks);
-  let p1 = two_block_program () in
-  let seq = run_seq p1 in
-  let p2 = two_block_program () in
-  let spmd, _ = run_spmd ~sched:(`Random 3) (Cr.Pipeline.default ~shards:2) p2 in
   check Alcotest.bool "two-block program equivalent" true
-    (same_results (p1, seq) (p2, spmd))
+    (equivalent ~sched:(`Random 3) (Cr.Pipeline.default ~shards:2)
+       two_block_program)
 
 (* ---------- normalization ---------- *)
 
-let test_normalize_creates_partition () =
-  let prog = Test_fixtures.Fixtures.random_program 7 in
-  let norm = Cr.Normalize.program prog in
-  (* The rot1 projection appears in most generated programs; when it does, a
-     derived partition must exist and launches must use identity
-     projections only. *)
-  let rec launches stmts =
-    List.concat_map
-      (function
-        | Types.Index_launch { launch; _ }
-        | Types.Index_launch_reduce { launch; _ } ->
-            [ launch ]
-        | Types.For_time { body; _ } -> launches body
-        | _ -> [])
-      stmts
-  in
-  List.iter
+(* Generated program whose loop reads through three rotated projections
+   (Fn projections that normalization must replace by derived
+   partitions). *)
+let rotated_program () = Conform.Gen.program 15
+
+let rec launches stmts =
+  List.concat_map
+    (function
+      | Types.Index_launch { launch; _ } | Types.Index_launch_reduce { launch; _ }
+        ->
+          [ launch ]
+      | Types.For_time { body; _ } -> launches body
+      | Types.If { then_; else_; _ } -> launches then_ @ launches else_
+      | _ -> [])
+    stmts
+
+let fn_args (prog : Program.t) =
+  List.concat_map
     (fun (l : Types.launch) ->
-      List.iter
-        (function
-          | Types.Part (_, Types.Fn _) ->
-              Alcotest.fail "Fn projection survived normalization"
-          | Types.Part (_, Types.Id) | Types.Whole _ -> ())
+      List.filter
+        (function Types.Part (_, Types.Fn _) -> true | _ -> false)
         l.Types.rargs)
-    (launches norm.Program.body)
+    (launches prog.Program.body)
+
+let test_normalize_creates_partition () =
+  let prog = rotated_program () in
+  check Alcotest.bool "input has Fn projections" true (fn_args prog <> []);
+  let norm = Cr.Normalize.program prog in
+  check Alcotest.bool "derived partitions added" true
+    (List.length norm.Program.decls > List.length prog.Program.decls);
+  check Alcotest.int "no Fn projection survives" 0 (List.length (fn_args norm))
 
 let test_normalize_idempotent () =
-  let prog = Test_fixtures.Fixtures.random_program 7 in
+  let prog = rotated_program () in
   let once = Cr.Normalize.program prog in
+  check Alcotest.bool "first pass adds partitions" true
+    (List.length once.Program.decls > List.length prog.Program.decls);
   let twice = Cr.Normalize.program once in
   check Alcotest.int "same decl count"
     (List.length once.Program.decls)

@@ -90,45 +90,20 @@ let test_plan_structured_halo () =
   check Alcotest.int "fused runs" 1 (Spmd.Copy_plan.nruns plan)
 
 (* Whole-program equivalence: every scheduler's plan-replayed copies vs
-   the sequential interpreter, on conformance-generated
-   programs (sparse/aliased partitions, ghost exchanges, reductions).
-   Snapshot every root region and all scalars — field identities are
-   minted fresh per build, so key on names. *)
+   the sequential interpreter, on conformance-generated programs
+   (sparse/aliased partitions, ghost exchanges, reductions), through the
+   differential oracle's shared-memory columns. *)
 let prop_plans_match_sequential =
-  let snapshot ctx =
-    ( List.sort compare (Interp.Run.scalars ctx),
-      List.map
-        (fun (name, inst) ->
-          ( name,
-            List.sort compare
-              (List.map
-                 (fun f -> (Field.name f, Physical.to_alist inst f))
-                 (Physical.fields inst)) ))
-        (Interp.Run.root_instances ctx) )
-  in
   qtest "Plans = sequential under all schedulers" ~count:20
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
-      let spec = Conform.Gen.spec seed in
-      let spmd sched =
-        let compiled =
-          Cr.Pipeline.compile
-            (Cr.Pipeline.default ~shards:3)
-            (Conform.Gen.build spec)
-        in
-        let ctx = Interp.Run.create compiled.Spmd.Prog.source in
-        Spmd.Exec.run ~sched compiled ctx;
-        snapshot ctx
+      let scheds =
+        [ ("round_robin", `Round_robin); ("random", `Random (seed land 0xff));
+          ("domains", `Domains) ]
       in
-      let reference =
-        let ctx = Interp.Run.create (Conform.Gen.build spec) in
-        Interp.Run.run ctx;
-        snapshot ctx
-      in
-      let agrees st = compare st reference = 0 in
-      List.for_all
-        (fun sched -> agrees (spmd sched))
-        [ `Round_robin; `Random (seed land 0xff); `Domains ])
+      match Conform.Oracle.check ~shards:3 ~scheds ~net:false (Conform.Gen.spec seed) with
+      | None -> true
+      | Some f -> QCheck2.Test.fail_reportf "%a" Conform.Oracle.pp_failure f)
 
 let test_plan_stats () =
   let stats =

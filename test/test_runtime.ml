@@ -52,40 +52,31 @@ let test_pool_map () =
 
 (* ---------- interpreter order invariance ---------- *)
 
-let region_data ctx prog =
-  List.concat_map
-    (fun rname ->
-      let r = Program.find_region prog rname in
-      let inst = Interp.Run.region_instance ctx r in
-      List.map
-        (fun f -> (rname, Field.name f, Physical.to_alist inst f))
-        r.Region.fields)
-    (Program.region_names prog)
-
 let run_with order prog =
   let ctx = Interp.Run.create prog in
   Interp.Run.run ~order ctx;
-  (region_data ctx prog, List.sort compare (Interp.Run.scalars ctx))
+  Conform.Oracle.snapshot ctx
 
 let test_order_invariance () =
-  (* The fixture programs have independent launch iterations, so results
+  (* Generated programs have independent launch iterations, so results
      must be bitwise identical under any execution order — including real
      parallel execution on domains. *)
   List.iter
     (fun seed ->
-      let reference = run_with `Seq (Test_fixtures.Fixtures.random_program seed) in
+      let run order = run_with order (Conform.Gen.program seed) in
+      let reference = run `Seq in
       List.iter
         (fun order ->
           check Alcotest.bool
             (Printf.sprintf "seed %d order-invariant" seed)
             true
-            (run_with order (Test_fixtures.Fixtures.random_program seed) = reference))
+            (Conform.Oracle.same_state (run order) reference))
         [ `Random 1; `Random 99 ];
       Taskpool.Pool.with_pool ~domains:3 (fun pool ->
           check Alcotest.bool
             (Printf.sprintf "seed %d pool-invariant" seed)
             true
-            (run_with (`Pool pool) (Test_fixtures.Fixtures.random_program seed) = reference)))
+            (Conform.Oracle.same_state (run (`Pool pool)) reference)))
     [ 2; 17; 23 ]
 
 let test_fig2_functional () =

@@ -402,7 +402,7 @@ let prop_release_never_splits_copy_await =
   qtest "no Release between a Copy and its Await" ~count:60
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
-      let prog = Test_fixtures.Fixtures.random_program seed in
+      let prog = Conform.Gen.program seed in
       let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards:3) prog in
       let rec flatten = function
         | [] -> []
@@ -431,31 +431,25 @@ let prop_release_never_splits_copy_await =
 let test_seed_951_domains_regression () =
   (* The schedule-dependent write-after-apply race found by the soak: fixed
      by the two-pass synchronisation insertion. *)
-  let p1 = Test_fixtures.Fixtures.random_program 951 in
-  let c1 = Interp.Run.create p1 in
+  let spec = (Conform.Repro.load "repro951.json").Conform.Repro.spec in
+  let c1 = Interp.Run.create (Conform.Gen.build spec) in
   Interp.Run.run c1;
-  let reference =
-    Physical.to_alist
-      (Interp.Run.region_instance c1 (Program.find_region p1 "Ra"))
-      fv
-  in
+  let reference = Conform.Oracle.snapshot c1 in
   for _trial = 1 to 5 do
-    let p2 = Test_fixtures.Fixtures.random_program 951 in
-    let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards:7) p2 in
+    let compiled =
+      Cr.Pipeline.compile (Cr.Pipeline.default ~shards:7) (Conform.Gen.build spec)
+    in
     let c2 = Interp.Run.create compiled.Spmd.Prog.source in
     Spmd.Exec.run ~sched:`Domains compiled c2;
     check Alcotest.bool "domains run matches sequential" true
-      (Physical.to_alist
-         (Interp.Run.region_instance c2 (Program.find_region p2 "Ra"))
-         fv
-      = reference)
+      (Conform.Oracle.same_state (Conform.Oracle.snapshot c2) reference)
   done
 
 let prop_sync_one_await_release_per_copy =
   qtest "sync inserts exactly one await and release per copy" ~count:40
     QCheck2.Gen.(int_range 0 100000)
     (fun seed ->
-      let prog = Test_fixtures.Fixtures.random_program seed in
+      let prog = Conform.Gen.program seed in
       let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards:3) prog in
       List.for_all
         (function
