@@ -590,8 +590,9 @@ let launch_cmd =
        ~doc:
          "Run the compiled SPMD program distributed: one rank per shard \
           exchanging region fragments, credits and tree collectives as \
-          wire messages, with the final state gathered at rank 0 and \
-          verified bitwise against the sequential interpreter.")
+          wire messages; every rank's final-state digest must equal rank \
+          0's, and rank 0's state is verified bitwise against the \
+          sequential interpreter.")
     Term.(
       const launch $ app_arg $ nodes_arg $ shards_arg $ transport $ watchdog
       $ fail_rate $ fault_seed $ kill $ trace_arg $ metrics_arg)

@@ -28,79 +28,54 @@ let pp_failure ppf f =
   Format.fprintf ppf "%s under %s: %s" (kind_to_string f.kind) f.config
     f.detail
 
-(* Final observable state, keyed by names only: field and region values
-   are minted fresh on every [Gen.build], so identity does not transfer
-   across builds but names do. Polymorphic [compare] handles NaN (equal to
-   itself), unlike [=]. *)
-type state =
-  (string * float) list * (string * (string * (int * float) list) list) list
-
-let snapshot ctx : state =
-  let scalars = List.sort compare (Interp.Run.scalars ctx) in
-  let regions =
-    List.map
-      (fun (name, inst) ->
-        ( name,
-          List.sort compare
-            (List.map
-               (fun f ->
-                 (Regions.Field.name f, Regions.Physical.to_alist inst f))
-               (Regions.Physical.fields inst)) ))
-      (Interp.Run.root_instances ctx)
-    |> List.sort compare
+(* First coordinate at which two final states ({!Net.Launch.state}) differ,
+   for the failure report. Floats compare by their bits, as
+   [Net.Launch.states_equal] does; [ctx] (the reference run's) names the
+   element behind a column index. *)
+let first_diff ctx (exp : Net.Launch.state) (got : Net.Launch.state) =
+  let same v v' = Int64.equal (Int64.bits_of_float v) (Int64.bits_of_float v') in
+  let element rname k =
+    (Geometry.Sorted_iset.to_array
+       (Regions.Index_space.ids
+          (Regions.Physical.ispace (Interp.Run.instance ctx rname)))).(k)
   in
-  (scalars, regions)
-
-(* First coordinate at which two states differ, for the failure report. *)
-let first_diff (exp_s, exp_r) (got_s, got_r) =
   let scalar_diff =
     List.find_map
       (fun (k, v) ->
-        match List.assoc_opt k got_s with
-        | Some v' when compare v v' = 0 -> None
+        match List.assoc_opt k got.scalars with
+        | Some v' when same v v' -> None
         | Some v' -> Some (Printf.sprintf "scalar %s: %.17g vs %.17g" k v v')
         | None -> Some (Printf.sprintf "scalar %s missing" k))
-      exp_s
+      exp.scalars
+  in
+  let region_diff () =
+    List.find_map
+      (fun (rname, fields) ->
+        match List.assoc_opt rname got.regions with
+        | None -> Some (Printf.sprintf "region %s missing" rname)
+        | Some fields' ->
+            List.find_map
+              (fun (fname, col) ->
+                match List.assoc_opt fname fields' with
+                | None ->
+                    Some (Printf.sprintf "region %s field %s missing" rname fname)
+                | Some col' when Array.length col' <> Array.length col ->
+                    Some (Printf.sprintf "region %s.%s: size differs" rname fname)
+                | Some col' ->
+                    Seq.find_map
+                      (fun k ->
+                        if same col.(k) col'.(k) then None
+                        else
+                          Some
+                            (Printf.sprintf "region %s.%s[%d]: %.17g vs %.17g"
+                               rname fname (element rname k) col.(k) col'.(k)))
+                      (Seq.init (Array.length col) Fun.id))
+              fields)
+      exp.regions
   in
   match scalar_diff with
   | Some d -> d
-  | None -> (
-      let region_diff =
-        List.find_map
-          (fun (rname, fields) ->
-            match List.assoc_opt rname got_r with
-            | None -> Some (Printf.sprintf "region %s missing" rname)
-            | Some fields' ->
-                List.find_map
-                  (fun (fname, cells) ->
-                    match List.assoc_opt fname fields' with
-                    | None ->
-                        Some
-                          (Printf.sprintf "region %s field %s missing" rname
-                             fname)
-                    | Some cells' ->
-                        List.find_map
-                          (fun (id, v) ->
-                            match List.assoc_opt id cells' with
-                            | Some v' when compare v v' = 0 -> None
-                            | Some v' ->
-                                Some
-                                  (Printf.sprintf
-                                     "region %s.%s[%d]: %.17g vs %.17g" rname
-                                     fname id v v')
-                            | None ->
-                                Some
-                                  (Printf.sprintf "region %s.%s[%d] missing"
-                                     rname fname id))
-                          cells)
-                  fields)
-          exp_r
-      in
-      match region_diff with
-      | Some d -> d
-      | None -> "states differ (structure)")
-
-let same_state a b = compare a b = 0
+  | None -> Option.value (region_diff ()) ~default:"states differ (structure)"
 
 let stepper_scheds = [ ("round_robin", `Round_robin); ("random", `Random 1) ]
 let all_scheds = stepper_scheds @ [ ("domains", `Domains) ]
@@ -166,7 +141,7 @@ let run_config ~shards ~backend ~watchdog ?mutate spec =
   | `Faults (policy, sched) ->
       let fault = Resilience.Fault.create ~policy ~seed:(fault_seed spec) () in
       Spmd.Exec.run ~sched ~fault ~sanitize:true ~watchdog compiled ctx);
-  snapshot ctx
+  Net.Launch.snapshot_state ctx
 
 (* Run the reference, then the columns in order; [None] when every column
    matches the reference, the first failure otherwise. With [?mutate],
@@ -180,22 +155,24 @@ let run_columns ~shards ?mutate ~watchdog columns (spec : Spec.t) =
       let prog = Gen.build spec in
       let ctx = Interp.Run.create prog in
       Interp.Run.run ctx;
-      Ok (snapshot ctx)
+      Ok (ctx, Net.Launch.snapshot_state ctx)
     with e ->
       Error
         { config = "reference"; kind = Crash; detail = Printexc.to_string e }
   in
   match reference with
   | Error f -> Some f
-  | Ok expected ->
+  | Ok (ref_ctx, expected) ->
       List.fold_left
         (fun acc (config, backend) ->
           match acc with
           | Some _ -> acc
           | None -> (
               match run_config ~shards ~backend ~watchdog ?mutate spec with
-              | got when same_state got expected -> None
-              | got -> Some { config; kind = Mismatch; detail = first_diff expected got }
+              | got when Net.Launch.states_equal got expected -> None
+              | got ->
+                  Some
+                    { config; kind = Mismatch; detail = first_diff ref_ctx expected got }
               | exception Resilience.Fault.Injected _ -> None
               | exception Spmd.Sanitizer.Race msg ->
                   Some { config; kind = Race; detail = msg }

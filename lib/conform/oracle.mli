@@ -7,7 +7,9 @@
     sanitizer armed. Final root-region contents and scalars must be
     bitwise equal everywhere (the paper's equivalence claim, §3); the
     first divergence, race, deadlock, or crash is reported with its
-    configuration. *)
+    configuration. States are {!Net.Launch.state}s, keyed by name (field
+    and region identities are minted fresh per build, names are not) and
+    compared with {!Net.Launch.states_equal}. *)
 
 type kind =
   | Mismatch  (** final state differs from the reference *)
@@ -20,16 +22,6 @@ type failure = { config : string; kind : kind; detail : string }
 val kind_to_string : kind -> string
 val kind_of_string : string -> kind
 val pp_failure : Format.formatter -> failure -> unit
-
-type state
-(** Final observable state of a run: every root region's field contents
-    and every scalar, keyed by name (field and region identities are
-    minted fresh per build, names are not). *)
-
-val snapshot : Interp.Run.context -> state
-
-val same_state : state -> state -> bool
-(** Bitwise equality (a NaN equals itself). *)
 
 val stepper_scheds : (string * Spmd.Exec.sched) list
 (** The two deterministic cooperative schedulers — mutation tests use

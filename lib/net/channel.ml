@@ -2,19 +2,11 @@ open Regions
 
 type msg = { epoch : int; runs : (int * int) array; payload : float array }
 
-type fragment = {
-  src_color : int;
-  dst_color : int;
-  fruns : (int * int) array;
-  fpayload : float array;
-}
-
 type t = {
   war : (int * int * int, int ref) Hashtbl.t;
   data : (int * int * int, msg Queue.t) Hashtbl.t;
   send_epoch : (int * int * int, int ref) Hashtbl.t;
   recv_epoch : (int * int * int, int ref) Hashtbl.t;
-  final : (int, fragment list ref) Hashtbl.t;
 }
 
 let create () =
@@ -23,7 +15,6 @@ let create () =
     data = Hashtbl.create 64;
     send_epoch = Hashtbl.create 64;
     recv_epoch = Hashtbl.create 64;
-    final = Hashtbl.create 8;
   }
 
 let cell tbl key =
@@ -72,32 +63,6 @@ let pop_data t ~cid ~i ~j =
   | None ->
       invalid_arg
         (Printf.sprintf "Net.Channel.pop_data: copy#%d (%d->%d) empty" cid i j)
-
-let final_box t cid =
-  match Hashtbl.find_opt t.final cid with
-  | Some b -> b
-  | None ->
-      let b = ref [] in
-      Hashtbl.replace t.final cid b;
-      b
-
-let on_final t ~cid ~i ~j ~runs ~payload =
-  let b = final_box t cid in
-  b :=
-    { src_color = i; dst_color = j; fruns = runs; fpayload = payload } :: !b
-
-let final_count t ~cid =
-  match Hashtbl.find_opt t.final cid with
-  | Some b -> List.length !b
-  | None -> 0
-
-let take_final t ~cid =
-  match Hashtbl.find_opt t.final cid with
-  | Some b ->
-      let l = List.rev !b in
-      b := [];
-      l
-  | None -> []
 
 let apply ~reduce ~fields ~runs ~payload dst =
   let volume = Array.fold_left (fun acc (_, len) -> acc + len) 0 runs in

@@ -14,7 +14,8 @@
     fragment for a block the receiver has not entered yet) accumulate
     here harmlessly until that block's instructions consume them. This
     is what lets ranks run fully asynchronously with no inter-block
-    barrier.
+    barrier. The finalize exchange keeps no state here: its [Final]
+    frames are whole instances, held by the engine until its finalize.
 
     Epochs are a wire-integrity check, not synchronisation: each pair's
     [Data] frames carry a send counter, and a gap or reordering (which
@@ -25,16 +26,6 @@ type msg = {
   epoch : int;
   runs : (int * int) array;
   payload : float array;
-}
-
-(** One finalize-phase fragment, broadcast by the owner of its source
-    color: [(src_color, dst_color, runs, payload)] with [dst_color = -1]
-    for root-region destinations. *)
-type fragment = {
-  src_color : int;
-  dst_color : int;
-  fruns : (int * int) array;
-  fpayload : float array;
 }
 
 type t
@@ -64,16 +55,6 @@ val pop_data : t -> cid:int -> i:int -> j:int -> msg
 (** Dequeue the oldest fragment; raises [Invalid_argument] when empty
     (callers gate on {!queued}). *)
 
-val on_final :
-  t -> cid:int -> i:int -> j:int -> runs:(int * int) array ->
-  payload:float array -> unit
-
-val final_count : t -> cid:int -> int
-
-val take_final : t -> cid:int -> fragment list
-(** Remove and return all collected fragments of a finalize copy, in
-    arrival order (callers impose the deterministic apply order). *)
-
 val apply :
   reduce:Regions.Privilege.redop option ->
   fields:Regions.Field.t list ->
@@ -83,7 +64,8 @@ val apply :
   unit
 (** Scatter a field-major payload into the destination instance along
     the given [(offset, len)] runs — the receiver half of
-    {!Spmd.Copy_plan.gather}. Plain copies blit; reductions fold with
-    the operator. Bounds and size are validated against the instance
+    {!Spmd.Copy_plan.gather}; a [Final] frame is the single run over
+    its whole instance. Plain copies blit; reductions fold with the
+    operator. Bounds and size are validated against the instance
     ({!Wire.Malformed} on mismatch: a frame must never write outside
     its destination). *)

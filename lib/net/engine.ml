@@ -16,8 +16,11 @@ type net = {
   trace : Obs.Trace.t;
   stats : Exec.stats option;
   san : Spmd.Sanitizer.t option;
-  mutable snapshots : (int * string) list;
-  mutable stats_in : (int * (int * int * int * int)) list;
+  finals : (int * int, string list * float array) Hashtbl.t;
+      (* (copy id, color) -> a received finalize instance, held until the
+         block's exchange completes (it may arrive before the block
+         starts here) *)
+  mutable stats_in : (int * (int * int * int * string)) list;
   mutable byes : int list;
   mutable dead : int list;
 }
@@ -30,14 +33,13 @@ let make_net ?stats ?(trace = Obs.Trace.null) ?san tp =
     trace;
     stats;
     san;
-    snapshots = [];
+    finals = Hashtbl.create 16;
     stats_in = [];
     byes = [];
     dead = [];
   }
 
 let transport net = net.tp
-let snapshots net = net.snapshots
 let stats_frames net = net.stats_in
 let byes net = net.byes
 let dead_ranks net = net.dead
@@ -74,12 +76,10 @@ let dispatch net frame =
   | Wire.Coll { seq; dir = `Down; values } ->
       let r = if Array.length values = 0 then 0. else snd values.(0) in
       Collective.on_down net.coll ~seq r
-  | Wire.Final { copy_id; src_color; dst_color; runs; payload; _ } ->
-      Channel.on_final net.chan ~cid:copy_id ~i:src_color ~j:dst_color ~runs
-        ~payload
-  | Wire.Snapshot { rank; blob } -> net.snapshots <- (rank, blob) :: net.snapshots
-  | Wire.Stats { rank; msgs; bytes; retries; injected } ->
-      net.stats_in <- (rank, (msgs, bytes, retries, injected)) :: net.stats_in
+  | Wire.Final { copy_id; src_color; fields; payload } ->
+      Hashtbl.replace net.finals (copy_id, src_color) (fields, payload)
+  | Wire.Stats { rank; msgs; bytes; retries; digest } ->
+      net.stats_in <- (rank, (msgs, bytes, retries, digest)) :: net.stats_in
   | Wire.Bye { rank } -> net.byes <- rank :: net.byes
 
 let pump net ~timeout =
@@ -232,25 +232,31 @@ let wire_sync net st =
 
 (* ---------- the block engine ---------- *)
 
-type fin = { mutable k : int; mutable sent : bool }
-type phase = Body | Finalizing of fin | Complete
+(* One owned-or-received instance the finalize reads: color [color] of
+   finalize copy [cid]'s source partition, owned by rank [from]. *)
+type source = {
+  cid : int;
+  part : string;
+  color : int;
+  fields : Field.t list;
+  from : int;
+}
+
+type phase = Body | Exchange | Complete
 
 type engine = {
   net : net;
-  source : Program.t;
   ctx : Interp.Run.context;
-  block : Prog.block;
   rank : int;
   st : Exec.state;
   sync : Exec.sync;
   shard : Exec.shard;
+  sources : source list;
+  mutable sent : bool;
   mutable phase : phase;
 }
 
 let finished eng = eng.phase = Complete
-
-let root_inst eng rname =
-  Interp.Run.region_instance eng.ctx (Program.find_region eng.source rname)
 
 let start_block net ~source ctx (b : Prog.block) =
   if b.Prog.shards <> Transport.size net.tp then
@@ -278,55 +284,95 @@ let start_block net ~source ctx (b : Prog.block) =
             (Exec.pairs st cid).Intersections.items
       | _ -> ())
     b.Prog.copies;
+  let sources =
+    List.concat_map
+      (function
+        | Prog.Copy ({ Prog.src = Prog.Opart ps; _ } as c) ->
+            let p = Program.find_partition source ps in
+            List.init (Partition.color_count p) (fun color ->
+                {
+                  cid = c.Prog.copy_id;
+                  part = ps;
+                  color;
+                  fields = c.Prog.fields;
+                  from = Exec.owner st ps color;
+                })
+        | _ -> [])
+      b.Prog.finalize
+  in
   (* Initialization replays locally on every rank (Fig. 4d: sequential,
      deterministic, touching state every rank holds). *)
   Obs.Trace.with_span net.trace ~tid:(Exec.shard_tid rank) ~cat:"exec"
     "net.init" (fun () -> Exec.init st);
   {
     net;
-    source;
     ctx;
-    block = b;
     rank;
     st;
     sync = wire_sync net st;
     shard = Exec.shard st ~sid:rank (Eval.copy (Interp.Run.env ctx));
+    sources;
+    sent = false;
     phase = Body;
   }
 
-(* ---------- finalize: fragment broadcast ---------- *)
+(* ---------- finalize: rank-ordered instance exchange ---------- *)
 
-let broadcast_final eng ~cid ~i ~j ~fields ~src ~dst =
-  let plan = Exec.copy_plan eng.st ~cid ~i ~j ~fields ~src ~dst () in
-  let runs = Copy_plan.dst_runs plan and payload = Copy_plan.gather plan ~src in
-  Channel.on_final eng.net.chan ~cid ~i ~j ~runs ~payload;
-  let fields = List.map Field.name fields in
-  for r = 0 to Transport.size eng.net.tp - 1 do
-    if r <> eng.rank then
-      send_frame eng.net ~dst:r
-        (Wire.Final
-           { copy_id = cid; src_color = i; dst_color = j; fields; runs; payload })
-  done
+(* The finalize copies read every color of their sources, but after the
+   body a rank holds only its own colors current. So each rank sends the
+   instances it owns to every other rank, then runs the shared sequential
+   finalize ({!Exec.finalize}) on complete state — every rank replays the
+   same copies in the same order and ends with the same roots. Rank r
+   sends once it holds every lower rank's instances: a rank that sends to
+   a lower one has all of that rank's frames, so no two ranks ever block
+   writing to each other. *)
+let arrived eng s = s.from = eng.rank || Hashtbl.mem eng.net.finals (s.cid, s.color)
 
-let fin_copy eng k =
-  match List.nth eng.block.Prog.finalize k with
-  | Prog.Copy c -> c
-  | instr ->
-      invalid_arg
-        (Format.asprintf "Net.Engine: unsupported finalize instruction %a"
-           Prog.pp_instr instr)
+let send_owned eng =
+  List.iter
+    (fun s ->
+      if s.from = eng.rank then begin
+        let inst = Exec.instance eng.st s.part s.color in
+        let frame =
+          Wire.Final
+            {
+              copy_id = s.cid;
+              src_color = s.color;
+              fields = List.map Field.name s.fields;
+              payload = Array.concat (List.map (Physical.column inst) s.fields);
+            }
+        in
+        for r = 0 to Transport.size eng.net.tp - 1 do
+          if r <> eng.rank then send_frame eng.net ~dst:r frame
+        done
+      end)
+    eng.sources
 
-let expected_fragments eng (c : Prog.copy) =
-  match (c.Prog.src, c.Prog.dst) with
-  | Prog.Opart ps, Prog.Oregion _ ->
-      Partition.color_count (Program.find_partition eng.source ps)
-  | Prog.Opart _, Prog.Opart _ ->
-      List.length (Exec.pairs eng.st c.Prog.copy_id).Intersections.items
-  | (Prog.Oregion _, _) -> 0
+let blit_received eng s =
+  let fields, payload = Hashtbl.find eng.net.finals (s.cid, s.color) in
+  Hashtbl.remove eng.net.finals (s.cid, s.color);
+  if fields <> List.map Field.name s.fields then
+    raise
+      (Wire.Malformed
+         (Printf.sprintf "finalize copy#%d[%d]: fields %s" s.cid s.color
+            (String.concat "," fields)));
+  let inst = Exec.instance eng.st s.part s.color in
+  Channel.apply ~reduce:None ~fields:s.fields
+    ~runs:[| (0, Physical.cardinal inst) |]
+    ~payload inst
 
-let step_finalize eng (f : fin) =
-  let nfin = List.length eng.block.Prog.finalize in
-  if f.k >= nfin then begin
+let step_exchange eng =
+  if not eng.sent then
+    if List.for_all (fun s -> s.from > eng.rank || arrived eng s) eng.sources
+    then begin
+      send_owned eng;
+      eng.sent <- true;
+      `Progress
+    end
+    else `Blocked
+  else if List.for_all (arrived eng) eng.sources then begin
+    List.iter (fun s -> if s.from <> eng.rank then blit_received eng s) eng.sources;
+    Exec.finalize eng.st;
     (* Replicated scalar state is identical on every rank; fold this
        rank's copy back into its context. *)
     let master_env = Interp.Run.env eng.ctx in
@@ -336,93 +382,16 @@ let step_finalize eng (f : fin) =
     eng.phase <- Complete;
     `Progress
   end
-  else
-    let c = fin_copy eng f.k in
-    match c.Prog.src with
-    | Prog.Oregion _ ->
-        (* Root-region source: every rank holds it whole — pure replay. *)
-        Exec.master_copy eng.st c;
-        f.k <- f.k + 1;
-        f.sent <- false;
-        `Progress
-    | Prog.Opart ps ->
-        let cid = c.Prog.copy_id and fields = c.Prog.fields in
-        if not f.sent then begin
-          f.sent <- true;
-          (match c.Prog.dst with
-          | Prog.Oregion rd ->
-              let p = Program.find_partition eng.source ps in
-              let dst = root_inst eng rd in
-              List.iter
-                (fun i ->
-                  broadcast_final eng ~cid ~i ~j:(-1) ~fields
-                    ~src:(Exec.instance eng.st ps i) ~dst)
-                (Prog.colors_of_shard ~shards:eng.block.Prog.shards
-                   ~colors:(Partition.color_count p) eng.rank)
-          | Prog.Opart pd ->
-              List.iter
-                (fun (i, j, _) ->
-                  if Exec.owner eng.st ps i = eng.rank then
-                    broadcast_final eng ~cid ~i ~j ~fields
-                      ~src:(Exec.instance eng.st ps i)
-                      ~dst:(Exec.instance eng.st pd j))
-                (Exec.pairs eng.st cid).Intersections.items);
-          `Progress
-        end
-        else if Channel.final_count eng.net.chan ~cid < expected_fragments eng c
-        then `Blocked
-        else begin
-          let frags = Channel.take_final eng.net.chan ~cid in
-          (* Apply in master-copy order: ascending source color for a root
-             destination, intersection-pair order otherwise — every rank
-             replays the same sequence, so reductions fold identically. *)
-          let order =
-            match c.Prog.dst with
-            | Prog.Oregion _ -> fun (fr : Channel.fragment) -> fr.Channel.src_color
-            | Prog.Opart _ ->
-                let tbl = Hashtbl.create 16 in
-                List.iteri
-                  (fun k (i, j, _) -> Hashtbl.replace tbl (i, j) k)
-                  (Exec.pairs eng.st cid).Intersections.items;
-                fun (fr : Channel.fragment) -> (
-                  match
-                    Hashtbl.find_opt tbl (fr.Channel.src_color, fr.Channel.dst_color)
-                  with
-                  | Some k -> k
-                  | None ->
-                      raise
-                        (Wire.Malformed
-                           (Printf.sprintf
-                              "finalize copy#%d: fragment (%d, %d) matches no \
-                               intersection pair"
-                              cid fr.Channel.src_color fr.Channel.dst_color)))
-          in
-          let sorted =
-            List.sort (fun a b -> Int.compare (order a) (order b)) frags
-          in
-          List.iter
-            (fun (fr : Channel.fragment) ->
-              let dst =
-                match c.Prog.dst with
-                | Prog.Oregion rd -> root_inst eng rd
-                | Prog.Opart pd -> Exec.instance eng.st pd fr.Channel.dst_color
-              in
-              Channel.apply ~reduce:c.Prog.reduce ~fields
-                ~runs:fr.Channel.fruns ~payload:fr.Channel.fpayload dst)
-            sorted;
-          f.k <- f.k + 1;
-          f.sent <- false;
-          `Progress
-        end
+  else `Blocked
 
 let step eng =
   match eng.phase with
   | Complete -> `Done
-  | Finalizing f -> step_finalize eng f
+  | Exchange -> step_exchange eng
   | Body -> (
       match Exec.step eng.st eng.sync eng.shard with
       | `Done ->
-          eng.phase <- Finalizing { k = 0; sent = false };
+          eng.phase <- Exchange;
           `Progress
       | `Progress | `Stalled -> `Progress
       | `Blocked -> `Blocked)
@@ -432,14 +401,12 @@ let step eng =
 let diag_shard eng =
   match eng.phase with
   | Complete -> { Diag.sid = eng.rank; instr = None; wait = Diag.Finished }
-  | Finalizing f ->
+  | Exchange ->
       let label =
-        if f.k >= List.length eng.block.Prog.finalize then "finalize: folding"
-        else
-          let c = fin_copy eng f.k in
-          Printf.sprintf "finalize copy#%d (%d/%d fragments)" c.Prog.copy_id
-            (Channel.final_count eng.net.chan ~cid:c.Prog.copy_id)
-            (expected_fragments eng c)
+        Printf.sprintf "finalize exchange (%s; %d/%d instances held)"
+          (if eng.sent then "sent" else "waiting on lower ranks")
+          (List.length (List.filter (arrived eng) eng.sources))
+          (List.length eng.sources)
       in
       { Diag.sid = eng.rank; instr = Some label; wait = Diag.Running }
   | Body -> Exec.shard_diag eng.st eng.sync eng.shard

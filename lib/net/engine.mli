@@ -3,8 +3,9 @@
     One {!net} per process (or per simulated rank under loopback) wires
     a {!Transport.t} to the protocol state: {!Channel} tables for the
     copy credit/data plane, a {!Collective} tree for barriers and scalar
-    reductions, and the end-of-run gather boxes ([Snapshot]/[Stats]/
-    [Bye] frames destined for rank 0). {!pump} drains the transport and
+    reductions, the finalize instances received ahead of their use, and
+    the end-of-run gather boxes ([Stats]/[Bye] frames destined for
+    rank 0). {!pump} drains the transport and
     dispatches every frame to its table; it never blocks the engine's
     own instruction stream.
 
@@ -26,10 +27,14 @@
       ({!Collective}); a barrier is the empty allreduce;
     - checkpoints are a no-op (no checkpoint sink).
 
-    The finalize phase is the engine's own: it broadcasts every owned
-    fragment as [Final] frames to {e all} ranks and applies the full set
-    in master-copy order, so each rank finishes holding the complete,
-    bitwise identical root state.
+    Finalize is the shared-memory executor's too ({!Spmd.Exec.finalize}).
+    Its copies read every color of their source partitions, so first
+    each rank sends the instances it owns of them (the fields the copy
+    reads) to every other rank as [Final] frames, and blits the ones it
+    receives into its own. Rank r sends only once it holds every lower
+    rank's instances, so no two ranks ever block writing to each other.
+    Every rank then replays the same copies in the same order and
+    finishes holding the same bitwise root state.
 
     Every rank executes the whole program against its private
     {!Interp.Run.context} ([Seq] items and block initialization are
@@ -59,11 +64,9 @@ val send_frame : net -> dst:int -> Wire.frame -> unit
 (** Encode, count ({!Spmd.Exec.stats} and {!Obs.Trace}) and send.
     Raises {!Transport.Peer_down} when [dst] is unreachable. *)
 
-val snapshots : net -> (int * string) list
-(** [Snapshot] blobs gathered so far (rank 0's end-of-run collection). *)
-
-val stats_frames : net -> (int * (int * int * int * int)) list
-(** Gathered [(rank, (msgs, bytes, retries, injected))] wire stats. *)
+val stats_frames : net -> (int * (int * int * int * string)) list
+(** Gathered [(rank, (msgs, bytes, retries, digest))] end-of-run
+    reports: wire stats and the digest of the rank's final state. *)
 
 val byes : net -> int list
 (** Ranks that announced graceful completion. *)
@@ -83,8 +86,9 @@ val start_block :
 
 val step : engine -> [ `Progress | `Blocked | `Done ]
 (** Execute (or block on) the current instruction: one
-    {!Spmd.Exec.step} in the body, one fragment exchange in finalize. Callers interleave {!pump} with blocked
-    steps; a step is [`Blocked] only while some needed frame has not
+    {!Spmd.Exec.step} in the body; in finalize, sending the owned
+    instances, then the sequential finalize once every instance is
+    held. Callers interleave {!pump} with blocked steps; a step is [`Blocked] only while some needed frame has not
     arrived. [`Done] once the finalize phase completed (scalars are
     folded back into the context's environment at that point). *)
 

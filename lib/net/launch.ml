@@ -21,7 +21,40 @@ let snapshot_state ctx =
       |> List.sort compare;
   }
 
-let states_equal (a : state) (b : state) = a = b
+(* Canonical encoding: counts and names length-prefixed, floats as their
+   IEEE-754 bits, no sharing — so equal encodings mean bitwise equal
+   states (a NaN equals itself, 0.0 and -0.0 differ). *)
+let canonical (s : state) =
+  let b = Buffer.create 4096 in
+  let int n = Buffer.add_int64_le b (Int64.of_int n) in
+  let float v = Buffer.add_int64_le b (Int64.bits_of_float v) in
+  let name n =
+    int (String.length n);
+    Buffer.add_string b n
+  in
+  let list f l =
+    int (List.length l);
+    List.iter f l
+  in
+  list
+    (fun (k, v) ->
+      name k;
+      float v)
+    s.scalars;
+  list
+    (fun (r, cols) ->
+      name r;
+      list
+        (fun (f, col) ->
+          name f;
+          int (Array.length col);
+          Array.iter float col)
+        cols)
+    s.regions;
+  Buffer.contents b
+
+let digest s = Digest.string (canonical s)
+let states_equal a b = String.equal (canonical a) (canonical b)
 
 let shard_count (p : Prog.t) =
   List.fold_left
@@ -155,9 +188,7 @@ let child_main mesh ~rank ~watchdog ?fault ?kill (prog : Prog.t) =
       let size = Transport.size tp in
       try
         Engine.run_rank ~watchdog net prog ctx;
-        let blob = Marshal.to_string (snapshot_state ctx) [] in
         let st = Transport.stats tp in
-        Engine.send_frame net ~dst:0 (Wire.Snapshot { rank; blob });
         Engine.send_frame net ~dst:0
           (Wire.Stats
              {
@@ -165,7 +196,7 @@ let child_main mesh ~rank ~watchdog ?fault ?kill (prog : Prog.t) =
                msgs = st.Transport.msgs_sent;
                bytes = st.Transport.bytes_sent;
                retries = st.Transport.retries;
-               injected = st.Transport.retries;
+               digest = digest (snapshot_state ctx);
              });
         for r = 0 to size - 1 do
           if r <> rank then
@@ -220,13 +251,13 @@ let launch ?(transport = `Unix) ?fault ?kill ?(watchdog = 30.) ?stats ?trace
   let result =
     try
       Engine.run_rank ~watchdog net prog ctx;
-      (* End-of-run gather: every child owes a snapshot, its wire stats
-         and a goodbye. Bounded wait — a child that died after finishing
-         its run but before the gather must not hang the parent. *)
+      (* End-of-run gather: every child owes its wire stats with the
+         digest of its final state, and a goodbye. Bounded wait — a child
+         that died after finishing its run but before the gather must not
+         hang the parent. *)
       let deadline = Unix.gettimeofday () +. Float.max 5. watchdog in
       let complete () =
-        List.length (Engine.snapshots net) >= size - 1
-        && List.length (Engine.stats_frames net) >= size - 1
+        List.length (Engine.stats_frames net) >= size - 1
         && List.length (Engine.byes net) >= size - 1
       in
       while (not (complete ())) && Unix.gettimeofday () < deadline do
@@ -271,15 +302,14 @@ let launch ?(transport = `Unix) ?fault ?kill ?(watchdog = 30.) ?stats ?trace
     match result with
     | Error _ -> []
     | Ok () ->
-        let reference = snapshot_state ctx in
+        let reference = digest (snapshot_state ctx) in
         List.filter_map
-          (fun (rank, blob) ->
-            let st : state = Marshal.from_string blob 0 in
-            if states_equal st reference then None
+          (fun (rank, (_, _, _, d)) ->
+            if String.equal d reference then None
             else
               Some
                 (Printf.sprintf "rank %d: final state differs from rank 0" rank))
-          (List.sort compare (Engine.snapshots net))
+          (List.sort compare (Engine.stats_frames net))
   in
   let bad_exits = List.filter (fun (_, s) -> s <> "exit 0") exits in
   let detail =

@@ -10,23 +10,29 @@
     {!launch} forks one OS process per shard over a pre-created
     {!Transport.unix_mesh} or {!Transport.tcp_mesh}. Every process runs
     the whole program against its private context; at the end each child
-    ships a marshalled state snapshot and its wire statistics to rank 0
-    and broadcasts a goodbye, and rank 0 verifies all final states are
-    bitwise identical. Failures never hang: a blocked rank's watchdog
+    sends rank 0 its wire statistics with the {!digest} of its final
+    state and broadcasts a goodbye, and rank 0 verifies every digest
+    equals its own. Failures never hang: a blocked rank's watchdog
     raises {!Spmd.Exec.Deadlock} (exit code 3 in a child), a crashed
     rank surfaces as an EOF-before-goodbye in its peers' reports, and
     the parent kills survivors before reaping. *)
 
 (** Final program state, in canonical order: sorted scalar bindings and
-    sorted per-root-region field columns. Structural equality is bitwise
-    equality of the run results. *)
+    sorted per-root-region field columns. *)
 type state = {
   scalars : (string * float) list;
   regions : (string * (string * float array) list) list;
 }
 
 val snapshot_state : Interp.Run.context -> state
+
 val states_equal : state -> state -> bool
+(** Bitwise equality: equal names, shapes and IEEE-754 bit patterns (a
+    NaN equals itself; [0.0] and [-0.0] differ). *)
+
+val digest : state -> Digest.t
+(** Digest of the same canonical encoding {!states_equal} compares: floats
+    as their IEEE-754 bits, names and counts length-prefixed. *)
 
 val run_loopback :
   ?fault:Resilience.Fault.t ->

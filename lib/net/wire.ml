@@ -13,18 +13,15 @@ type frame =
   | Final of {
       copy_id : int;
       src_color : int;
-      dst_color : int;
       fields : string list;
-      runs : (int * int) array;
       payload : float array;
     }
-  | Snapshot of { rank : int; blob : string }
   | Stats of {
       rank : int;
       msgs : int;
       bytes : int;
       retries : int;
-      injected : int;
+      digest : string;
     }
   | Bye of { rank : int }
 
@@ -35,16 +32,15 @@ let () =
     | Malformed msg -> Some ("Net.Wire.Malformed: " ^ msg)
     | _ -> None)
 
-let version = 1
+let version = 2
 
 let tag = function
   | Data _ -> 1
   | Credit _ -> 2
   | Coll _ -> 3
   | Final _ -> 4
-  | Snapshot _ -> 5
-  | Stats _ -> 6
-  | Bye _ -> 7
+  | Stats _ -> 5
+  | Bye _ -> 6
 
 let kind = function
   | Data _ -> "data"
@@ -52,7 +48,6 @@ let kind = function
   | Coll { dir = `Up; _ } -> "coll.up"
   | Coll { dir = `Down; _ } -> "coll.down"
   | Final _ -> "final"
-  | Snapshot _ -> "snapshot"
   | Stats _ -> "stats"
   | Bye _ -> "bye"
 
@@ -107,22 +102,17 @@ let encode frame =
           add_int b c;
           add_float b v)
         values
-  | Final { copy_id; src_color; dst_color; fields; runs; payload } ->
+  | Final { copy_id; src_color; fields; payload } ->
       add_int b copy_id;
       add_int b src_color;
-      add_int b dst_color;
       add_fields b fields;
-      add_runs b runs;
       add_payload b payload
-  | Snapshot { rank; blob } ->
-      add_int b rank;
-      add_string b blob
-  | Stats { rank; msgs; bytes; retries; injected } ->
+  | Stats { rank; msgs; bytes; retries; digest } ->
       add_int b rank;
       add_int b msgs;
       add_int b bytes;
       add_int b retries;
-      add_int b injected
+      add_string b digest
   | Bye { rank } -> add_int b rank);
   Buffer.to_bytes b
 
@@ -229,23 +219,22 @@ let decode buf =
     | 4 ->
         let copy_id = read_int cur "copy_id" in
         let src_color = read_int cur "src_color" in
-        let dst_color = read_int cur "dst_color" in
         let fields = read_fields cur in
-        let runs = read_runs cur in
         let payload = read_payload cur in
-        Final { copy_id; src_color; dst_color; fields; runs; payload }
+        Final { copy_id; src_color; fields; payload }
     | 5 ->
-        let rank = read_int cur "rank" in
-        let blob = read_string cur "blob" in
-        Snapshot { rank; blob }
-    | 6 ->
         let rank = read_int cur "rank" in
         let msgs = read_int cur "msgs" in
         let bytes = read_int cur "bytes" in
         let retries = read_int cur "retries" in
-        let injected = read_int cur "injected" in
-        Stats { rank; msgs; bytes; retries; injected }
-    | 7 -> Bye { rank = read_int cur "rank" }
+        let digest = read_string cur "digest" in
+        if String.length digest <> 16 then
+          raise
+            (Malformed
+               (Printf.sprintf "digest of %d bytes, expected 16"
+                  (String.length digest)));
+        Stats { rank; msgs; bytes; retries; digest }
+    | 6 -> Bye { rank = read_int cur "rank" }
     | t -> raise (Malformed (Printf.sprintf "unknown frame tag %d" t))
   in
   if cur.pos <> Bytes.length buf then

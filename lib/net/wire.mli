@@ -14,13 +14,18 @@
     scatters into its own instance without rebuilding the plan — both
     sides derive instance layouts from the same (deterministic) index
     spaces, so destination offsets computed by the sender are valid in
-    the receiver's address space. *)
+    the receiver's address space.
+
+    A [Final] frame carries one whole instance instead: a finalize
+    source partition's color, shipped by its owner to every other rank
+    before the sequential finalize, checked by the receiver against its
+    own instance's volume x fields. The end-of-run gather carries no
+    state, only a digest of it. *)
 
 (** One frame. [Data] is a body-phase copy fragment (synchronised by
     credits), [Credit] a write-after-read grant, [Coll] one hop of a
-    tree collective, [Final] a finalize-phase fragment broadcast to all
-    ranks, and [Snapshot]/[Stats]/[Bye] the end-of-run gather at
-    rank 0. *)
+    tree collective, [Final] an owned instance of a finalize source, and
+    [Stats]/[Bye] the end-of-run gather at rank 0. *)
 type frame =
   | Data of {
       copy_id : int;
@@ -40,27 +45,25 @@ type frame =
               [(0, result)] pair, or empty for a barrier *)
     }
   | Final of {
-      copy_id : int;
-      src_color : int;
-      dst_color : int;  (** [-1] when the destination is the root *)
-      fields : string list;
-      runs : (int * int) array;
-      payload : float array;
+      copy_id : int;  (** the finalize copy reading the instance *)
+      src_color : int;  (** the instance's color in the copy's source *)
+      fields : string list;  (** the fields that copy reads *)
+      payload : float array;  (** field-major, the whole instance *)
     }
-  | Snapshot of { rank : int; blob : string }
-      (** marshalled final state, for the rank-0 consistency check *)
   | Stats of {
       rank : int;
       msgs : int;
       bytes : int;
       retries : int;
-      injected : int;
+      digest : string;
+          (** 16-byte digest of the rank's canonical final state
+              ({!Launch.digest}) *)
     }
   | Bye of { rank : int }
 
 exception Malformed of string
 (** Raised by {!decode} on a version mismatch, unknown tag, truncated
-    body or trailing bytes. *)
+    body, trailing bytes or a digest that is not 16 bytes. *)
 
 val encode : frame -> Bytes.t
 val decode : Bytes.t -> frame

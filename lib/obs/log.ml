@@ -1,7 +1,7 @@
 (* Level-filtered logging for runtime diagnostics.
 
    Everything that used to go straight to stdout/stderr from the executor
-   and the chaos/soak tools routes through here, so `dune runtest` is
+   and the fuzz campaigns routes through here, so `dune runtest` is
    quiet by default and a capturing sink can record the noise. Thread-safe:
    the domains backend logs concurrently. *)
 

@@ -2,7 +2,7 @@
 
     Default level is [Warn] (overridable with the [CRC_LOG] environment
     variable: error/warn/info/debug), so routine progress chatter from the
-    executor and the chaos tools is invisible in `dune runtest` while
+    executor and the fuzz campaigns is invisible in `dune runtest` while
     failures still print. The sink is replaceable for capture. *)
 
 type level = Error | Warn | Info | Debug
@@ -17,7 +17,7 @@ val enabled : level -> bool
 type sink = level -> string -> unit
 
 val set_sink : sink -> unit
-(** Replace the stderr sink (e.g. to capture chaos-soak noise). The sink
+(** Replace the stderr sink (e.g. to capture a long fuzz run's noise). The sink
     only receives messages passing the level filter. *)
 
 val reset_sink : unit -> unit

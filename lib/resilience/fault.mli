@@ -10,7 +10,8 @@
     the cooperative stepper, the seeded-random stepper, and real OCaml
     domains.
 
-    Fault sites (the names used by tests, the chaos tool and diagnostics):
+    Fault sites (the names used by tests, the oracle's fault columns and
+    diagnostics):
 
     - {!Leaf_task}: a leaf-task kernel attempt raises {!Injected} after
       running (simulating a fault that corrupted its writes); the
@@ -49,7 +50,7 @@ type policy = {
 }
 
 val default_policy : policy
-(** Moderate rates suited to the chaos soak: transient leaf failures with
+(** Moderate rates suited to a long fault soak: transient leaf failures with
     retries, occasional release delays and shard stalls. *)
 
 val no_faults : policy

@@ -379,6 +379,18 @@ let init st =
                Prog.pp_instr instr))
     st.block.Prog.init
 
+(* Finalization (the copy-back of written partitions to their parent
+   regions, Fig. 4a) runs sequentially too, after every shard is done. *)
+let finalize st =
+  List.iter
+    (function
+      | Prog.Copy c -> master_copy st c
+      | instr ->
+          invalid_arg
+            (Format.asprintf "Spmd.Exec: unsupported finalize instruction %a"
+               Prog.pp_instr instr))
+    st.block.Prog.finalize
+
 (* ---------- shard streams ---------- *)
 
 type loop_info = { lvar : string; lcount : int; mutable liter : int }
@@ -1261,21 +1273,26 @@ let drive_stepper st shards rng =
    attempt, then retries — so no wake-up is lost. A stall watchdog
    (lib/resilience) trips when every live shard is parked with no version
    change for the timeout, and the run raises {!Deadlock} with per-shard
-   diagnostics instead of hanging forever. *)
+   diagnostics instead of hanging forever. When a shard raises (a leaf
+   fault past its retry cap, a sanitizer race), the survivors cannot
+   complete the block: they leave as soon as they would park, and the
+   root cause is re-raised. *)
 let drive_domains st shards ~watchdog =
   let mon = { mu = Mutex.create (); cv = Condition.create (); version = Atomic.make 0 } in
   let sync = shared_sync st (Some mon) in
   let n = Array.length shards in
   let waiting = Array.make n false and finished = Array.make n false in
-  let tripped = ref None in
+  let tripped = ref None and failed = ref false in
   let shard_main s () =
+    let returned = ref false in
     Fun.protect
       ~finally:(fun () ->
-        (* Mark the shard finished in *all* exit paths (including a leaf
-           fault exhausting its retries) so the watchdog can still declare
-           the survivors deadlocked instead of reporting them running. *)
+        (* Mark the shard finished in *all* exit paths so the watchdog can
+           still declare the survivors deadlocked instead of reporting
+           them running. *)
         Mutex.protect mon.mu (fun () ->
             finished.(s.sid) <- true;
+            if not !returned then failed := true;
             Atomic.incr mon.version;
             Condition.broadcast mon.cv))
       (fun () ->
@@ -1287,15 +1304,18 @@ let drive_domains st shards ~watchdog =
           | `Blocked ->
               Mutex.lock mon.mu;
               waiting.(s.sid) <- true;
-              while Atomic.get mon.version = seen && !tripped = None do
+              while Atomic.get mon.version = seen && !tripped = None && not !failed do
                 Condition.wait mon.cv mon.mu
               done;
               waiting.(s.sid) <- false;
-              let dead = !tripped in
+              let dead = !tripped and quit = !failed in
               Mutex.unlock mon.mu;
-              (match dead with Some d -> raise (Deadlock d) | None -> go ())
+              (match dead with
+              | Some d -> raise (Deadlock d)
+              | None -> if not quit then go ())
         in
-        go ())
+        go ();
+        returned := true)
   in
   let dog =
     if watchdog <= 0. then None
@@ -1385,17 +1405,8 @@ let run_block ?(sched = `Round_robin) ?stats ?fault ?(watchdog = 60.)
   (* Replicated scalar state is identical on all shards; fold it back. *)
   if b.Prog.shards > 0 then
     List.iter (fun (k, v) -> Eval.set master_env k v) (Eval.bindings shards.(0).env);
-  (* Finalization, sequential again. *)
   Obs.Trace.with_span trace ~tid:0 ~cat:"exec" "exec.finalize" (fun () ->
-      List.iter
-        (function
-          | Prog.Copy c -> master_copy st c
-          | instr ->
-              invalid_arg
-                (Format.asprintf
-                   "Spmd.Exec: unsupported finalize instruction %a"
-                   Prog.pp_instr instr))
-        b.Prog.finalize)
+      finalize st)
 
 let run ?sched ?stats ?fault ?watchdog ?checkpoint_sink ?restore ?trace
     ?sanitize (t : Prog.t) ctx =

@@ -104,13 +104,17 @@ val create_state :
 val init : state -> unit
 (** Run the block's initialization instructions sequentially. *)
 
+val finalize : state -> unit
+(** Run the block's finalize copies sequentially, every color of each at
+    once: the copy-back of written partitions to their parent regions
+    (Fig. 4a). Every instance they read must be current, so a backend
+    whose shards hold only their own colors gathers the rest first. *)
+
 val instance : state -> string -> int -> Regions.Physical.t
 val pairs : state -> int -> Intersections.pairs
 val owner : state -> string -> int -> int
 (** Shard owning a color of the named partition. *)
 
-val master_copy : state -> Prog.copy -> unit
-(** Sequential, unsynchronised execution of an init/finalize copy. *)
 
 val copy_plan :
   state ->

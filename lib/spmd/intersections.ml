@@ -135,7 +135,7 @@ let compute ?stats ?pool ~src ~dst () =
 
 (* Partition-pair cache. Partitions are immutable and carry unique ids,
    so (src id, dst id) keys need no invalidation: a cached entry is valid
-   forever. The table is bounded — long soaks (chaos) mint thousands of
+   forever. The table is bounded — long fuzz soaks mint thousands of
    fresh partitions, and an unbounded cache would pin all their index
    spaces; blowing the whole table away at the cap keeps the common case
    (a program's copies recomputed every run/iteration) hot without a

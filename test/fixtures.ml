@@ -1,5 +1,6 @@
-(* Shared program fixture for the control-replication tests: the paper's
-   Fig. 2 example. Random programs come from [Conform.Gen]. *)
+(* Shared program fixtures for the control-replication tests: the paper's
+   Fig. 2 example and a program with two replicated blocks. Random
+   programs come from [Conform.Gen]. *)
 
 open Regions
 open Ir
@@ -79,5 +80,97 @@ let fig2 ?(n = 16) ?(nt = 4) ?(timesteps = 3) () =
           Syn.forall "I" (Syn.call "TF" [ Syn.part "PB"; Syn.part "PA" ]);
           Syn.forall "I" (Syn.call "TG" [ Syn.part "PA"; Syn.part "QB" ]);
         ];
+    ];
+  Program.Builder.finish b
+
+(* ---------- two replicated blocks ---------- *)
+
+(* Two separate time loops with a sequential statement between them: the
+   statement reads R1, which the first block's finalize wrote back, into
+   R2, which the second block's initialization reads. *)
+let two_blocks () =
+  let b = Program.Builder.create ~name:"two-blocks" in
+  let r1 =
+    Program.Builder.region b ~name:"R1" (Index_space.of_range 16) [ fv; fw ]
+  in
+  let r2 = Program.Builder.region b ~name:"R2" (Index_space.of_range 16) [ fv ] in
+  let p1 =
+    Program.Builder.partition b ~name:"P1" (fun ~name ->
+        Partition.block ~name r1 ~pieces:4)
+  in
+  let _q1 =
+    Program.Builder.partition b ~name:"Q1" (fun ~name ->
+        Partition.image ~name ~target:r1 ~src:p1 (fun e -> [ (e + 5) mod 16 ]))
+  in
+  let _p2 =
+    Program.Builder.partition b ~name:"P2" (fun ~name ->
+        Partition.block ~name r2 ~pieces:4)
+  in
+  Program.Builder.space b ~name:"I" 4;
+  (* Writes v reading w through the aliased halo (field-disjoint, so
+     iterations are independent); a second diagonal task refreshes w. *)
+  let stepper =
+    Task.make ~name:"stepper"
+      ~params:
+        [
+          { Task.pname = "out"; privs = [ Privilege.writes fv ] };
+          { Task.pname = "inp"; privs = [ Privilege.reads fw ] };
+        ]
+      (fun accs _ ->
+        Accessor.iter accs.(0) (fun i ->
+            Accessor.set accs.(0) fv i
+              ((Accessor.get accs.(0) fv i *. 0.5)
+              +. Accessor.get accs.(1) fw ((i + 5) mod 16)));
+        0.)
+  in
+  let refresh =
+    Task.make ~name:"refresh"
+      ~params:
+        [ { Task.pname = "out"; privs = [ Privilege.writes fw; Privilege.reads fv ] } ]
+      (fun accs _ ->
+        Accessor.iter accs.(0) (fun i ->
+            Accessor.set accs.(0) fw i (Accessor.get accs.(0) fv i +. 0.25));
+        0.)
+  in
+  let seed2 =
+    Task.make ~name:"seed2"
+      ~params:
+        [
+          { Task.pname = "dst"; privs = [ Privilege.writes fv ] };
+          { Task.pname = "src"; privs = [ Privilege.reads fv ] };
+        ]
+      (fun accs _ ->
+        Accessor.iter accs.(0) (fun i ->
+            Accessor.set accs.(0) fv i (Accessor.get accs.(1) fv i +. 10.));
+        0.)
+  in
+  let bump2 =
+    Task.make ~name:"bump2"
+      ~params:[ { Task.pname = "out"; privs = [ Privilege.writes fv ] } ]
+      (fun accs _ ->
+        Accessor.iter accs.(0) (fun i ->
+            Accessor.set accs.(0) fv i (Accessor.get accs.(0) fv i *. 1.25));
+        0.)
+  in
+  let init =
+    Task.make ~name:"init"
+      ~params:[ { Task.pname = "r"; privs = [ Privilege.writes fv ] } ]
+      (fun accs _ ->
+        Accessor.iter accs.(0) (fun i ->
+            Accessor.set accs.(0) fv i (float_of_int (i + 1)));
+        0.)
+  in
+  List.iter (Program.Builder.task b) [ stepper; refresh; seed2; bump2; init ];
+  Program.Builder.body b
+    [
+      Syn.run (Syn.call "init" [ Syn.whole "R1" ]);
+      Syn.for_time "t" 3
+        [
+          Syn.forall "I" (Syn.call "stepper" [ Syn.part "P1"; Syn.part "Q1" ]);
+          Syn.forall "I" (Syn.call "refresh" [ Syn.part "P1" ]);
+        ];
+      (* Sequential statement between the two replicated blocks. *)
+      Syn.run (Syn.call "seed2" [ Syn.whole "R2"; Syn.whole "R1" ]);
+      Syn.for_time "u" 2 [ Syn.forall "I" (Syn.call "bump2" [ Syn.part "P2" ]) ];
     ];
   Program.Builder.finish b

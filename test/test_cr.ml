@@ -26,7 +26,7 @@ let run_spmd ?sched config prog =
 let equivalent ?sched config mkprog =
   let seq_ctx = run_seq (mkprog ()) in
   let spmd_ctx, _ = run_spmd ?sched config (mkprog ()) in
-  Conform.Oracle.(same_state (snapshot seq_ctx) (snapshot spmd_ctx))
+  Net.Launch.(states_equal (snapshot_state seq_ctx) (snapshot_state spmd_ctx))
 
 let equivalence_case name ?sched config mkprog =
   Alcotest.test_case name `Quick (fun () ->
@@ -296,99 +296,10 @@ let random_equivalence_configs =
 (* Control replication is a local transformation (§2.2): a program with two
    separate time loops, with sequential statements between them, gets two
    independent replicated blocks and still matches sequential execution. *)
-let two_block_program () =
-  let fv = Test_fixtures.Fixtures.fv in
-  let fw = Test_fixtures.Fixtures.fw in
-  let b = Program.Builder.create ~name:"two-blocks" in
-  let r1 =
-    Program.Builder.region b ~name:"R1" (Index_space.of_range 16) [ fv; fw ]
-  in
-  let r2 = Program.Builder.region b ~name:"R2" (Index_space.of_range 16) [ fv ] in
-  let p1 =
-    Program.Builder.partition b ~name:"P1" (fun ~name ->
-        Partition.block ~name r1 ~pieces:4)
-  in
-  let _q1 =
-    Program.Builder.partition b ~name:"Q1" (fun ~name ->
-        Partition.image ~name ~target:r1 ~src:p1 (fun e -> [ (e + 5) mod 16 ]))
-  in
-  let _p2 =
-    Program.Builder.partition b ~name:"P2" (fun ~name ->
-        Partition.block ~name r2 ~pieces:4)
-  in
-  Program.Builder.space b ~name:"I" 4;
-  (* Writes v reading w through the aliased halo (field-disjoint, so
-     iterations are independent); a second diagonal task refreshes w. *)
-  let stepper =
-    Task.make ~name:"stepper"
-      ~params:
-        [
-          { Task.pname = "out"; privs = [ Privilege.writes fv ] };
-          { Task.pname = "inp"; privs = [ Privilege.reads fw ] };
-        ]
-      (fun accs _ ->
-        Accessor.iter accs.(0) (fun i ->
-            Accessor.set accs.(0) fv i
-              ((Accessor.get accs.(0) fv i *. 0.5)
-              +. Accessor.get accs.(1) fw ((i + 5) mod 16)));
-        0.)
-  in
-  let refresh =
-    Task.make ~name:"refresh"
-      ~params:
-        [ { Task.pname = "out"; privs = [ Privilege.writes fw; Privilege.reads fv ] } ]
-      (fun accs _ ->
-        Accessor.iter accs.(0) (fun i ->
-            Accessor.set accs.(0) fw i (Accessor.get accs.(0) fv i +. 0.25));
-        0.)
-  in
-  let seed2 =
-    Task.make ~name:"seed2"
-      ~params:
-        [
-          { Task.pname = "dst"; privs = [ Privilege.writes fv ] };
-          { Task.pname = "src"; privs = [ Privilege.reads fv ] };
-        ]
-      (fun accs _ ->
-        Accessor.iter accs.(0) (fun i ->
-            Accessor.set accs.(0) fv i (Accessor.get accs.(1) fv i +. 10.));
-        0.)
-  in
-  let bump2 =
-    Task.make ~name:"bump2"
-      ~params:[ { Task.pname = "out"; privs = [ Privilege.writes fv ] } ]
-      (fun accs _ ->
-        Accessor.iter accs.(0) (fun i ->
-            Accessor.set accs.(0) fv i (Accessor.get accs.(0) fv i *. 1.25));
-        0.)
-  in
-  let init =
-    Task.make ~name:"init"
-      ~params:[ { Task.pname = "r"; privs = [ Privilege.writes fv ] } ]
-      (fun accs _ ->
-        Accessor.iter accs.(0) (fun i ->
-            Accessor.set accs.(0) fv i (float_of_int (i + 1)));
-        0.)
-  in
-  List.iter (Program.Builder.task b) [ stepper; refresh; seed2; bump2; init ];
-  let module Syn = Program.Syntax in
-  Program.Builder.body b
-    [
-      Syn.run (Syn.call "init" [ Syn.whole "R1" ]);
-      Syn.for_time "t" 3
-        [
-          Syn.forall "I" (Syn.call "stepper" [ Syn.part "P1"; Syn.part "Q1" ]);
-          Syn.forall "I" (Syn.call "refresh" [ Syn.part "P1" ]);
-        ];
-      (* Sequential statement between the two replicated blocks. *)
-      Syn.run (Syn.call "seed2" [ Syn.whole "R2"; Syn.whole "R1" ]);
-      Syn.for_time "u" 2 [ Syn.forall "I" (Syn.call "bump2" [ Syn.part "P2" ]) ];
-    ];
-  Program.Builder.finish b
-
 let test_two_blocks () =
   let compiled =
-    Cr.Pipeline.compile (Cr.Pipeline.default ~shards:2) (two_block_program ())
+    Cr.Pipeline.compile (Cr.Pipeline.default ~shards:2)
+      (Test_fixtures.Fixtures.two_blocks ())
   in
   let blocks =
     List.filter
@@ -398,7 +309,7 @@ let test_two_blocks () =
   check Alcotest.int "two independent replicated blocks" 2 (List.length blocks);
   check Alcotest.bool "two-block program equivalent" true
     (equivalent ~sched:(`Random 3) (Cr.Pipeline.default ~shards:2)
-       two_block_program)
+       Test_fixtures.Fixtures.two_blocks)
 
 (* ---------- normalization ---------- *)
 
@@ -484,7 +395,7 @@ let test_credits_recorded () =
      body order on the w field... verify at least that executing with the
      recorded credits terminates (covered above) and that credits only
      mention body copies. *)
-  let prog2 = two_block_program () in
+  let prog2 = Test_fixtures.Fixtures.two_blocks () in
   let compiled2 = Cr.Pipeline.compile (Cr.Pipeline.default ~shards:2) prog2 in
   List.iter
     (function

@@ -1,11 +1,14 @@
 (* Tests for the distributed shard runtime (lib/net): wire-protocol
-   round-trips and malformed-frame rejection, loopback-vs-reference
-   equivalence on the four mini-apps and on generated conformance
-   programs (the acceptance property: the message-passing backend's
-   results are bitwise equal to the shared-memory Plans backend), the
-   multi-process launcher over Unix-domain and TCP sockets, recovery
-   from injected transient send faults, and the kill-a-shard crash path
-   producing a structured stall report instead of a hang. *)
+   round-trips and malformed-frame rejection, bitwise final-state
+   equality, loopback-vs-reference equivalence on the four mini-apps and
+   on generated conformance programs (the acceptance property: the
+   message-passing backend's results are bitwise equal to the
+   shared-memory Plans backend), the multi-process launcher over
+   Unix-domain and TCP sockets (the four apps at 2/4/8 shards, two
+   replicated blocks, a heavy-state pennant run that must not hang in
+   the finalize exchange), recovery from injected transient send faults,
+   and the kill-a-shard crash path producing a structured stall report
+   instead of a hang. *)
 
 open Net
 
@@ -42,13 +45,18 @@ let sample_frames =
       {
         copy_id = 3;
         src_color = 2;
-        dst_color = -1;
-        fields = [ "out" ];
-        runs = [| (8, 8) |];
-        payload = Array.init 8 float_of_int;
+        fields = [ "out"; "flux" ];
+        payload = Array.init 16 (fun k -> float_of_int k -. 0.5);
       };
-    Wire.Snapshot { rank = 2; blob = "arbitrary \x00 bytes \xff" };
-    Wire.Stats { rank = 1; msgs = 100; bytes = 4096; retries = 2; injected = 2 };
+    Wire.Final { copy_id = 4; src_color = 0; fields = []; payload = [||] };
+    Wire.Stats
+      {
+        rank = 1;
+        msgs = 100;
+        bytes = 4096;
+        retries = 2;
+        digest = Digest.string "arbitrary \x00 bytes \xff";
+      };
     Wire.Bye { rank = 3 };
   ]
 
@@ -76,7 +84,96 @@ let test_wire_malformed () =
   expect_malformed "trailing bytes" trailing;
   let bad_version = Bytes.copy good in
   Bytes.set bad_version 0 '\xee';
-  expect_malformed "version mismatch" bad_version
+  expect_malformed "version mismatch" bad_version;
+  List.iter
+    (fun digest ->
+      expect_malformed
+        (Printf.sprintf "%d-byte digest" (String.length digest))
+        (Wire.encode
+           (Wire.Stats { rank = 1; msgs = 0; bytes = 0; retries = 0; digest })))
+    [ ""; "short"; String.make 17 'x' ]
+
+(* A [Final] frame whose payload is not its instance's volume x fields is
+   rejected where it is applied, before it writes anything: rank 1's
+   instances arrive at rank 0 short by all but one float. Rank 0 steps
+   first in each round and sends first, so it consumes the bogus frames
+   before rank 1 has sent the real ones. *)
+let test_final_wrong_length () =
+  let compiled =
+    Cr.Pipeline.compile (Cr.Pipeline.default ~shards:2)
+      (Apps.Stencil.program (Apps.Stencil.test_config ~nodes:2))
+  in
+  let b =
+    List.find_map
+      (function Spmd.Prog.Replicated b -> Some b | Spmd.Prog.Seq _ -> None)
+      compiled.Spmd.Prog.items
+    |> Option.get
+  in
+  let source = compiled.Spmd.Prog.source in
+  let nets = Array.map Engine.make_net (Transport.loopback ~size:2 ()) in
+  let ctxs = Array.init 2 (fun _ -> Interp.Run.create source) in
+  List.iter
+    (function
+      | Spmd.Prog.Seq stmts -> Array.iter (fun c -> Interp.Run.run_stmts c stmts) ctxs
+      | Spmd.Prog.Replicated _ -> ())
+    compiled.Spmd.Prog.items;
+  let engines =
+    Array.init 2 (fun r -> Engine.start_block nets.(r) ~source ctxs.(r) b)
+  in
+  let bogus = ref 0 in
+  List.iter
+    (function
+      | Spmd.Prog.Copy { Spmd.Prog.copy_id; src = Spmd.Prog.Opart ps; fields; _ } ->
+          let colors =
+            Regions.Partition.color_count (Ir.Program.find_partition source ps)
+          in
+          List.iter
+            (fun color ->
+              incr bogus;
+              Engine.send_frame nets.(1) ~dst:0
+                (Wire.Final
+                   {
+                     copy_id;
+                     src_color = color;
+                     fields = List.map Regions.Field.name fields;
+                     payload = [| 0. |];
+                   }))
+            (Spmd.Prog.colors_of_shard ~shards:2 ~colors 1)
+      | _ -> ())
+    b.Spmd.Prog.finalize;
+  Alcotest.(check bool) "rank 1 owns finalize sources" true (!bogus > 0);
+  let rec drive n =
+    if n = 0 then Alcotest.fail "the exchange never completed";
+    Array.iter (fun net -> ignore (Engine.pump net ~timeout:0.)) nets;
+    Array.iter (fun e -> ignore (Engine.step e)) engines;
+    if not (Array.for_all Engine.finished engines) then drive (n - 1)
+  in
+  match drive 100_000 with
+  | () -> Alcotest.fail "a short Final payload was applied"
+  | exception Wire.Malformed msg ->
+      Alcotest.(check string) "rejected for its length" "payload of 1 floats"
+        (String.sub msg 0 (min 19 (String.length msg)))
+
+(* ---------- bitwise state equality ---------- *)
+
+let test_states_bitwise () =
+  let st scalar column =
+    { Launch.scalars = [ ("x", scalar) ]; regions = [ ("R", [ ("v", column) ]) ] }
+  in
+  let nan_state () = st Float.nan [| 1.; Float.nan |] in
+  Alcotest.(check bool)
+    "a NaN state equals itself" true
+    (Launch.states_equal (nan_state ()) (nan_state ()));
+  Alcotest.(check bool)
+    "0.0 and -0.0 scalars differ" false
+    (Launch.states_equal (st 0. [| 1. |]) (st (-0.) [| 1. |]));
+  Alcotest.(check bool)
+    "0.0 and -0.0 elements differ" false
+    (Launch.states_equal (st 1. [| 0. |]) (st 1. [| -0. |]));
+  Alcotest.(check bool)
+    "digests follow equality" true
+    (Launch.digest (nan_state ()) = Launch.digest (nan_state ())
+    && Launch.digest (st 0. [| 1. |]) <> Launch.digest (st (-0.) [| 1. |]))
 
 (* ---------- loopback vs the sequential reference: four apps ---------- *)
 
@@ -105,11 +202,13 @@ let reference_state prog =
   Interp.Run.run ctx;
   Launch.snapshot_state ctx
 
+(* At each app's own node count, and at 8 nodes, which every shard count
+   divides. *)
 let test_loopback_apps () =
   List.iter
-    (fun (name, nodes, build) ->
+    (fun (name, app_nodes, build) ->
       List.iter
-        (fun shards ->
+        (fun (nodes, shards) ->
           let expected = reference_state (build ~nodes) in
           let compiled =
             Cr.Pipeline.compile (Cr.Pipeline.default ~shards) (build ~nodes)
@@ -117,11 +216,11 @@ let test_loopback_apps () =
           let ctx = Interp.Run.create compiled.Spmd.Prog.source in
           Launch.run_loopback ~sanitize:true compiled ctx;
           Alcotest.(check bool)
-            (Printf.sprintf "%s @ %d shards matches the interpreter" name
-               shards)
+            (Printf.sprintf "%s (%d nodes) @ %d shards matches the interpreter"
+               name nodes shards)
             true
             (Launch.states_equal expected (Launch.snapshot_state ctx)))
-        [ 2; 4 ])
+        [ (app_nodes, 2); (app_nodes, 4); (8, 2); (8, 4); (8, 8) ])
     apps
 
 (* ---------- loopback vs the Plans backend: generated programs ---------- *)
@@ -198,6 +297,95 @@ let test_launch_tcp () =
   let o = Launch.launch ~transport:`Tcp ~watchdog:20. (stencil_compiled ~shards:2) in
   check_outcome "tcp launch" expected o
 
+(* The four apps at 8 nodes, divisible by every shard count, as forked
+   processes on Unix-domain sockets: bitwise equal to the interpreter. *)
+let test_apps_8_nodes () =
+  List.iter
+    (fun (name, _, build) ->
+      let expected = reference_state (build ~nodes:8) in
+      List.iter
+        (fun shards ->
+          check_outcome
+            (Printf.sprintf "%s @ %d shards" name shards)
+            expected
+            (Launch.launch ~transport:`Unix ~watchdog:20.
+               (Cr.Pipeline.compile (Cr.Pipeline.default ~shards) (build ~nodes:8))))
+        [ 2; 4; 8 ])
+    apps
+
+(* Two replicated blocks: the second block's input comes through the
+   roots the first block's finalize wrote, on every rank. *)
+let test_two_blocks () =
+  let build = Test_fixtures.Fixtures.two_blocks in
+  let expected = reference_state (build ()) in
+  let compile () = Cr.Pipeline.compile (Cr.Pipeline.default ~shards:2) (build ()) in
+  let compiled = compile () in
+  let ctx = Interp.Run.create compiled.Spmd.Prog.source in
+  Launch.run_loopback ~sanitize:true compiled ctx;
+  Alcotest.(check bool)
+    "two blocks over loopback" true
+    (Launch.states_equal expected (Launch.snapshot_state ctx));
+  check_outcome "two blocks over unix" expected
+    (Launch.launch ~transport:`Unix ~watchdog:20. (compile ()))
+
+(* Heavy per-rank state (2 pieces of 64x64 zones per node, 2 ranks, 1
+   step): each finalize instance is larger than a socket buffer, so two
+   ranks writing to each other at once would both block in write(2),
+   where no watchdog can fire. The launch runs in its own process group
+   under a deadline and is killed whole if it misses it, so a hang fails
+   the test instead of stalling the suite. *)
+let test_launch_heavy_state () =
+  let build () =
+    Apps.Pennant.program
+      {
+        (Apps.Pennant.test_config ~nodes:2) with
+        Apps.Pennant.pieces_per_node = 2;
+        piece_zones = (64, 64);
+        timesteps = 1;
+      }
+  in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 ->
+      ignore (Unix.setsid ());
+      let code =
+        try
+          let expected = reference_state (build ()) in
+          let o =
+            Launch.launch ~transport:`Unix ~watchdog:20.
+              (Cr.Pipeline.compile (Cr.Pipeline.default ~shards:2) (build ()))
+          in
+          match o.Launch.state with
+          | Some st when o.Launch.ok && Launch.states_equal expected st -> 0
+          | _ ->
+              prerr_endline (String.concat "; " o.Launch.detail);
+              1
+        with e ->
+          prerr_endline (Printexc.to_string e);
+          2
+      in
+      Unix._exit code
+  | pid ->
+      let deadline = Unix.gettimeofday () +. 60. in
+      let rec wait () =
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ when Unix.gettimeofday () < deadline ->
+            Unix.sleepf 0.05;
+            wait ()
+        | 0, _ ->
+            (try Unix.kill (-pid) Sys.sigkill with Unix.Unix_error _ -> ());
+            ignore (Unix.waitpid [] pid);
+            Alcotest.fail "heavy-state launch still running after 60 s"
+        | _, Unix.WEXITED 0 -> ()
+        | _, status ->
+            Alcotest.failf "heavy-state launch failed (%s)"
+              (match status with
+              | Unix.WEXITED n -> Printf.sprintf "exit %d" n
+              | Unix.WSIGNALED n | Unix.WSTOPPED n -> Printf.sprintf "signal %d" n)
+      in
+      wait ()
+
 let test_launch_fault_recovery () =
   (* Transient send faults on every rank: each failed send is retried
      (reconnecting on TCP), and the run must still complete bitwise
@@ -248,7 +436,11 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "malformed" `Quick test_wire_malformed;
+          Alcotest.test_case "final of the wrong length" `Quick
+            test_final_wrong_length;
         ] );
+      ( "state",
+        [ Alcotest.test_case "bitwise equality" `Quick test_states_bitwise ] );
       ( "loopback",
         [
           Alcotest.test_case "four apps" `Quick test_loopback_apps;
@@ -259,6 +451,10 @@ let () =
         [
           Alcotest.test_case "unix sockets" `Quick test_launch_unix;
           Alcotest.test_case "tcp sockets" `Quick test_launch_tcp;
+          Alcotest.test_case "four apps at 8 nodes" `Quick test_apps_8_nodes;
+          Alcotest.test_case "two blocks" `Quick test_two_blocks;
+          Alcotest.test_case "heavy state does not hang" `Quick
+            test_launch_heavy_state;
           Alcotest.test_case "transient fault recovery" `Quick
             test_launch_fault_recovery;
           Alcotest.test_case "kill shard" `Quick test_launch_kill_shard;

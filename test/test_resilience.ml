@@ -312,6 +312,31 @@ let test_retry_cap_escapes () =
   check Alcotest.int "cap+1 attempts on the doomed task" 3
     (Atomic.get stats.Spmd.Exec.attempts)
 
+(* A shard whose fault escapes ends the domains run at once: the survivors
+   leave instead of parking until the stall watchdog (5 s here) fires. *)
+let test_domains_failure_is_prompt () =
+  let prog =
+    Apps.Stencil.program
+      { (Apps.Stencil.test_config ~nodes:4) with Apps.Stencil.timesteps = 20 }
+  in
+  let compiled = Cr.Pipeline.compile (Cr.Pipeline.default ~shards:4) prog in
+  let ctx = Interp.Run.create compiled.Spmd.Prog.source in
+  let policy =
+    {
+      Resilience.Fault.no_faults with
+      Resilience.Fault.leaf_fail_rate = 0.05;
+      leaf_retries = 0;
+    }
+  in
+  let fault = Resilience.Fault.create ~policy ~seed:1 () in
+  let t0 = Unix.gettimeofday () in
+  (match Spmd.Exec.run ~sched:`Domains ~fault ~watchdog:5. compiled ctx with
+  | () -> Alcotest.fail "expected Fault.Injected to escape"
+  | exception Resilience.Fault.Injected _ -> ());
+  let elapsed = Unix.gettimeofday () -. t0 in
+  if elapsed >= 1. then
+    Alcotest.failf "the failing run took %.2f s to return" elapsed
+
 (* ---------- tentpole: checkpoint/restart at time-loop boundaries -------- *)
 
 let test_checkpoint_restart sched () =
@@ -564,6 +589,8 @@ let () =
             (test_fault_determinism circuit);
           Alcotest.test_case "retry counters" `Quick test_retry_counters;
           Alcotest.test_case "retry cap escapes" `Quick test_retry_cap_escapes;
+          Alcotest.test_case "domains failure is prompt" `Quick
+            test_domains_failure_is_prompt;
         ] );
       ( "checkpoint-restart",
         [

@@ -55,7 +55,7 @@ let test_pool_map () =
 let run_with order prog =
   let ctx = Interp.Run.create prog in
   Interp.Run.run ~order ctx;
-  Conform.Oracle.snapshot ctx
+  Net.Launch.snapshot_state ctx
 
 let test_order_invariance () =
   (* Generated programs have independent launch iterations, so results
@@ -70,13 +70,13 @@ let test_order_invariance () =
           check Alcotest.bool
             (Printf.sprintf "seed %d order-invariant" seed)
             true
-            (Conform.Oracle.same_state (run order) reference))
+            (Net.Launch.states_equal (run order) reference))
         [ `Random 1; `Random 99 ];
       Taskpool.Pool.with_pool ~domains:3 (fun pool ->
           check Alcotest.bool
             (Printf.sprintf "seed %d pool-invariant" seed)
             true
-            (Conform.Oracle.same_state (run (`Pool pool)) reference)))
+            (Net.Launch.states_equal (run (`Pool pool)) reference)))
     [ 2; 17; 23 ]
 
 let test_fig2_functional () =

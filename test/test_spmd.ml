@@ -434,7 +434,7 @@ let test_seed_951_domains_regression () =
   let spec = (Conform.Repro.load "repro951.json").Conform.Repro.spec in
   let c1 = Interp.Run.create (Conform.Gen.build spec) in
   Interp.Run.run c1;
-  let reference = Conform.Oracle.snapshot c1 in
+  let reference = Net.Launch.snapshot_state c1 in
   for _trial = 1 to 5 do
     let compiled =
       Cr.Pipeline.compile (Cr.Pipeline.default ~shards:7) (Conform.Gen.build spec)
@@ -442,7 +442,7 @@ let test_seed_951_domains_regression () =
     let c2 = Interp.Run.create compiled.Spmd.Prog.source in
     Spmd.Exec.run ~sched:`Domains compiled c2;
     check Alcotest.bool "domains run matches sequential" true
-      (Conform.Oracle.same_state (Conform.Oracle.snapshot c2) reference)
+      (Net.Launch.states_equal (Net.Launch.snapshot_state c2) reference)
   done
 
 let prop_sync_one_await_release_per_copy =
